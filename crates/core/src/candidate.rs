@@ -38,6 +38,10 @@ use qf_sketch::simd::{broadcast4, eq_lanes4, movemask4, pack4, LANES_PER_WORD};
 /// Bytes charged per entry: 2 (fingerprint) + 4 (Qweight counter).
 pub const ENTRY_BYTES: usize = 6;
 
+/// Bytes of one slot record in a snapshot's state section: occupancy
+/// flag (1), fingerprint (2), Qweight (4), little-endian.
+const SLOT_RECORD_BYTES: usize = 7;
+
 /// Zeroed fingerprint slots appended past the last bucket so every bucket's
 /// probe window `[start, start + bucket_len.next_multiple_of(4))` is in
 /// bounds — the SWAR scan then runs whole packed words with no scalar
@@ -658,15 +662,47 @@ impl CandidatePart {
     /// must not trigger a huge allocation.
     pub(crate) const MAX_SNAPSHOT_SLOTS: u64 = 1 << 28;
 
+    /// Bytes [`Self::write_state`] appends: one slot record per slot.
+    pub(crate) fn state_len(&self) -> usize {
+        self.buckets * self.bucket_len * SLOT_RECORD_BYTES
+    }
+
     /// Serialize every slot (occupied flag, fingerprint, Qweight) into a
     /// snapshot's state section. The per-slot record order is the AoS wire
     /// format — unchanged by the SoA layout.
+    ///
+    /// One pass over buckets: each bucket's occupancy word is loaded once
+    /// and shifted down slot by slot, and the records are filled in place
+    /// in a span reserved up front.
     pub(crate) fn write_state(&self, w: &mut ByteWriter) {
-        for i in 0..self.buckets * self.bucket_len {
-            let (bucket, slot) = (i / self.bucket_len, i % self.bucket_len);
-            w.put_u8(u8::from(self.occupied(bucket, slot)));
-            w.put_u16(self.fps[i]);
-            w.put_i32(self.qws[i]);
+        let b = self.bucket_len;
+        let slots = self.buckets * b;
+        let out = w.put_zeroed(slots * SLOT_RECORD_BYTES);
+        let buckets = out
+            .chunks_exact_mut(b * SLOT_RECORD_BYTES)
+            .zip(self.fps[..slots].chunks_exact(b))
+            .zip(self.qws[..slots].chunks_exact(b))
+            .zip(self.occ.chunks_exact(self.occ_words));
+        for (((records, fps), qws), occ) in buckets {
+            // Buckets longer than 64 slots span several occupancy words.
+            let words = records
+                .chunks_mut(64 * SLOT_RECORD_BYTES)
+                .zip(fps.chunks(64))
+                .zip(qws.chunks(64))
+                .zip(occ);
+            for (((records, fps), qws), &word) in words {
+                let mut word = word;
+                for ((rec, &fp), &qw) in records
+                    .chunks_exact_mut(SLOT_RECORD_BYTES)
+                    .zip(fps)
+                    .zip(qws)
+                {
+                    rec[0] = (word & 1) as u8;
+                    rec[1..3].copy_from_slice(&fp.to_le_bytes());
+                    rec[3..7].copy_from_slice(&qw.to_le_bytes());
+                    word >>= 1;
+                }
+            }
         }
     }
 

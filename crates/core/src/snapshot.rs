@@ -102,21 +102,34 @@ fn corrupt(reason: &str) -> QfError {
     }
 }
 
-/// Wrap config + state sections into the checksummed envelope.
-fn seal(tag: u8, config: &[u8], state: &[u8]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+/// Wrap the config section and the state that `write_state` encodes
+/// into the checksummed envelope. The state is encoded straight into the
+/// envelope buffer, which is allocated once at its final size from
+/// `state_len` (the exact byte count `write_state` appends). The declared
+/// total length is taken from the bytes actually written, so a wrong
+/// `state_len` costs a reallocation, never a malformed envelope.
+fn seal(
+    tag: u8,
+    config: &[u8],
+    state_len: usize,
+    write_state: impl FnOnce(&mut ByteWriter),
+) -> Vec<u8> {
+    let mut w = ByteWriter::with_capacity(HEADER_BYTES + config.len() + state_len + 8);
     w.put_bytes(&SNAPSHOT_MAGIC);
     w.put_u32(SNAPSHOT_VERSION);
-    let total = HEADER_BYTES + config.len() + state.len() + 8;
-    w.put_u32(total as u32);
+    w.put_u32(0); // total length, filled in below
     w.put_u64(xxh64(config, DIGEST_SEED));
     w.put_u8(tag);
     w.put_u32(config.len() as u32);
     w.put_bytes(config);
-    w.put_bytes(state);
-    let checksum = xxh64(w.as_slice(), CHECKSUM_SEED);
-    w.put_u64(checksum);
-    w.into_bytes()
+    write_state(&mut w);
+    debug_assert_eq!(w.len(), HEADER_BYTES + config.len() + state_len);
+    let mut bytes = w.into_bytes();
+    let total = bytes.len() + 8;
+    bytes[8..12].copy_from_slice(&(total as u32).to_le_bytes());
+    let checksum = xxh64(&bytes, CHECKSUM_SEED);
+    bytes.extend_from_slice(&checksum.to_le_bytes());
+    bytes
 }
 
 /// Validate the envelope and split it into `(config, state)` sections.
@@ -220,6 +233,15 @@ where
     qf.vague_part().inner().shape().write(w);
 }
 
+/// Bytes [`write_filter_state`] appends: two RNG states and five stats
+/// words, then the candidate slots and the sketch state.
+fn filter_state_len<S>(qf: &QuantileFilter<S>) -> usize
+where
+    S: WeightSketch + SketchState,
+{
+    7 * 8 + qf.candidate_part().state_len() + qf.vague_part().inner().state_len()
+}
+
 /// Write a filter's mutable state (slots, counters, RNGs, stats).
 fn write_filter_state<S>(qf: &QuantileFilter<S>, w: &mut ByteWriter)
 where
@@ -295,9 +317,12 @@ impl<S: WeightSketch + SketchState> QuantileFilter<S> {
     pub fn snapshot(&self) -> Vec<u8> {
         let mut config = ByteWriter::new();
         write_filter_config(self, &mut config);
-        let mut state = ByteWriter::new();
-        write_filter_state(self, &mut state);
-        seal(TAG_FILTER, config.as_slice(), state.as_slice())
+        seal(
+            TAG_FILTER,
+            config.as_slice(),
+            filter_state_len(self),
+            |state| write_filter_state(self, state),
+        )
     }
 
     /// Rebuild a filter from [`Self::snapshot`] bytes. The restored filter
@@ -322,14 +347,16 @@ impl<C: SketchCounter, P: ResizePolicy> EpochFilter<C, P> {
         let (filter, criteria, seed, epoch_len, items, memory, epochs) = self.snapshot_parts();
         let mut config = ByteWriter::new();
         w_epoch_config(&mut config, epoch_len, filter);
-        let mut state = ByteWriter::new();
-        write_criteria(&criteria, &mut state);
-        state.put_u64(seed);
-        state.put_u64(items);
-        state.put_u64(memory);
-        state.put_u64(epochs);
-        write_filter_state(filter, &mut state);
-        seal(TAG_EPOCH, config.as_slice(), state.as_slice())
+        // Criteria (3 × f64) and four epoch words precede the filter state.
+        let state_len = 7 * 8 + filter_state_len(filter);
+        seal(TAG_EPOCH, config.as_slice(), state_len, |state| {
+            write_criteria(&criteria, state);
+            state.put_u64(seed);
+            state.put_u64(items);
+            state.put_u64(memory);
+            state.put_u64(epochs);
+            write_filter_state(filter, state);
+        })
     }
 
     /// Rebuild from [`Self::snapshot`] bytes, resuming mid-epoch with the
@@ -380,9 +407,12 @@ impl<S: WeightSketch + SketchState> MultiCriteriaFilter<S> {
             write_criteria(c, &mut config);
         }
         write_filter_config(self.inner(), &mut config);
-        let mut state = ByteWriter::new();
-        write_filter_state(self.inner(), &mut state);
-        seal(TAG_MULTI, config.as_slice(), state.as_slice())
+        seal(
+            TAG_MULTI,
+            config.as_slice(),
+            filter_state_len(self.inner()),
+            |state| write_filter_state(self.inner(), state),
+        )
     }
 
     /// Rebuild from [`Self::snapshot`] bytes.
@@ -588,7 +618,7 @@ mod tests {
             width: u64::MAX,
         }
         .write(&mut config);
-        let bytes = seal(TAG_FILTER, config.as_slice(), &[]);
+        let bytes = seal(TAG_FILTER, config.as_slice(), 0, |_| {});
         let err = QuantileFilter::<CountSketch<i8>>::restore(&bytes).unwrap_err();
         assert!(matches!(err, QfError::CorruptSnapshot { .. }), "{err:?}");
     }

@@ -5,7 +5,8 @@
 //! that wire format:
 //!
 //! * [`ByteWriter`] — an append-only buffer with fixed-width little-endian
-//!   integer/float encoders. Writing is infallible.
+//!   integer/float encoders, plus zeroed spans that bulk encoders fill in
+//!   place. Writing is infallible.
 //! * [`ByteReader`] — a cursor over a byte slice whose every read is
 //!   fallible: a truncated or corrupted snapshot surfaces as a
 //!   [`WireError`] instead of a panic, which is the foundation of the
@@ -47,6 +48,14 @@ impl ByteWriter {
         Self::default()
     }
 
+    /// Start an empty buffer that holds `capacity` bytes before it grows.
+    /// Encoders that know their exact output size allocate once.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -72,14 +81,18 @@ impl ByteWriter {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// Append `n` zero bytes and hand them back for in-place encoding.
+    /// Bulk encoders fill fixed-width records through
+    /// `chunks_exact_mut` instead of one `put_*` call per field.
+    pub fn put_zeroed(&mut self, n: usize) -> &mut [u8] {
+        let start = self.buf.len();
+        self.buf.resize(start + n, 0);
+        &mut self.buf[start..]
+    }
+
     /// Append one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
-    }
-
-    /// Append a `u16`.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a `u32`.
@@ -92,11 +105,6 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Append an `i32`.
-    pub fn put_i32(&mut self, v: i32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Append an `i64`.
     pub fn put_i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -105,13 +113,6 @@ impl ByteWriter {
     /// Append an `f64` as its IEEE-754 bit pattern (byte-exact round-trip).
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
-    }
-
-    /// Append the low `width` bytes of `v` (two's complement). Used for
-    /// narrow sketch counters, whose cell width is 1–8 bytes.
-    pub fn put_int_narrow(&mut self, v: i64, width: usize) {
-        debug_assert!((1..=8).contains(&width));
-        self.buf.extend_from_slice(&v.to_le_bytes()[..width]);
     }
 }
 
@@ -193,7 +194,8 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Read a `width`-byte two's-complement integer, sign-extended to
-    /// `i64` — the inverse of [`ByteWriter::put_int_narrow`].
+    /// `i64` — the inverse of writing the low `width` little-endian bytes
+    /// of an `i64` (how narrow sketch counters are stored).
     pub fn get_int_narrow(&mut self, width: usize) -> Result<i64, WireError> {
         if !(1..=8).contains(&width) {
             return Err(WireError::Invalid("counter width out of range"));
@@ -215,10 +217,10 @@ mod tests {
     fn roundtrip_all_widths() {
         let mut w = ByteWriter::new();
         w.put_u8(0xAB);
-        w.put_u16(0xBEEF);
+        w.put_bytes(&0xBEEFu16.to_le_bytes());
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(0x0123_4567_89AB_CDEF);
-        w.put_i32(-12345);
+        w.put_bytes(&(-12345i32).to_le_bytes());
         w.put_i64(-987_654_321_000);
         w.put_f64(-2.5e-300);
         w.put_bytes(b"tail");
@@ -234,6 +236,18 @@ mod tests {
         assert_eq!(r.get_f64().unwrap(), -2.5e-300);
         assert_eq!(r.get_bytes(4).unwrap(), b"tail");
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn put_zeroed_appends_in_place() {
+        let mut w = ByteWriter::with_capacity(7);
+        w.put_u8(9);
+        let out = w.put_zeroed(6);
+        assert_eq!(out, [0u8; 6]);
+        out[1..3].copy_from_slice(&0xBEEFu16.to_le_bytes());
+        assert_eq!(w.as_slice(), [9, 0, 0xEF, 0xBE, 0, 0, 0]);
+        assert!(w.put_zeroed(0).is_empty());
+        assert_eq!(w.len(), 7);
     }
 
     #[test]
@@ -264,7 +278,7 @@ mod tests {
             let hi = i64::MAX >> (8 * (8 - width));
             for v in [lo, -1, 0, 1, hi] {
                 let mut w = ByteWriter::new();
-                w.put_int_narrow(v, width);
+                w.put_bytes(&v.to_le_bytes()[..width]);
                 let bytes = w.into_bytes();
                 assert_eq!(bytes.len(), width);
                 let got = ByteReader::new(&bytes).get_int_narrow(width).unwrap();

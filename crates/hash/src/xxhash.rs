@@ -21,6 +21,14 @@ fn read_u64_le(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
 }
 
+/// One 8-byte lane of a stripe (`bytes.len() == 8` by construction).
+#[inline(always)]
+fn lane(bytes: &[u8]) -> u64 {
+    let mut a = [0u8; 8];
+    a.copy_from_slice(bytes);
+    u64::from_le_bytes(a)
+}
+
 #[inline(always)]
 fn read_u32_le(bytes: &[u8], at: usize) -> u32 {
     let b = &bytes[at..at + 4];
@@ -61,12 +69,18 @@ pub fn xxh64(data: &[u8], seed: u64) -> u64 {
         let mut v2 = seed.wrapping_add(PRIME64_2);
         let mut v3 = seed;
         let mut v4 = seed.wrapping_sub(PRIME64_1);
-        while i + 32 <= len {
-            v1 = round(v1, read_u64_le(data, i));
-            v2 = round(v2, read_u64_le(data, i + 8));
-            v3 = round(v3, read_u64_le(data, i + 16));
-            v4 = round(v4, read_u64_le(data, i + 24));
-            i += 32;
+        // Walk whole stripes in place: `chunks_exact` proves every stripe
+        // is 32 bytes, so the four lane loads compile without bounds checks.
+        let stripes = data.chunks_exact(32);
+        i = len - stripes.remainder().len();
+        for stripe in stripes {
+            let (a, rest) = stripe.split_at(8);
+            let (b, rest) = rest.split_at(8);
+            let (c, d) = rest.split_at(8);
+            v1 = round(v1, lane(a));
+            v2 = round(v2, lane(b));
+            v3 = round(v3, lane(c));
+            v4 = round(v4, lane(d));
         }
         h = v1
             .rotate_left(1)
@@ -135,6 +149,39 @@ mod tests {
         // Self-consistency across calls plus seed sensitivity.
         assert_eq!(xxh64(msg, 1), xxh64(msg, 1));
         assert_ne!(xxh64(msg, 1), xxh64(msg, 2));
+    }
+
+    /// Inputs long enough to run the 32-byte stripe loop, at lengths with
+    /// no tail, an 8/4/1-byte tail, and several stripes, under the seed 0
+    /// and the snapshot checksum seed. The values are pinned so that any
+    /// rewrite of the stripe loop must reproduce them exactly.
+    #[test]
+    fn stripe_loop_vectors_are_pinned() {
+        let data: Vec<u8> = (0..300u32)
+            .map(|i| (i.wrapping_mul(31) ^ (i >> 3)) as u8)
+            .collect();
+        let cases: [(usize, u64, u64); 14] = [
+            (32, 0, 0xB1E0_4C49_0727_5E60),
+            (32, 0x5EED_C4EC_5A11_D00D, 0xD26A_D676_A7DC_48E5),
+            (33, 0, 0x1A8F_71FD_5CEF_9814),
+            (33, 0x5EED_C4EC_5A11_D00D, 0xEF42_7114_1613_485A),
+            (63, 0, 0x5F63_8F61_D349_4F47),
+            (63, 0x5EED_C4EC_5A11_D00D, 0x2821_2DF0_2A78_33B4),
+            (64, 0, 0xE966_4998_9CA2_6D73),
+            (64, 0x5EED_C4EC_5A11_D00D, 0x67A9_E21F_D872_8697),
+            (100, 0, 0x6999_6CDD_0419_27DD),
+            (100, 0x5EED_C4EC_5A11_D00D, 0x7166_AB28_AC7C_1E9F),
+            (257, 0, 0x7BAF_8CBB_BA63_27B9),
+            (257, 0x5EED_C4EC_5A11_D00D, 0xED36_8616_1A10_ABA4),
+            (300, 0, 0x6987_DC15_8E0C_906E),
+            (300, 0x5EED_C4EC_5A11_D00D, 0x04EF_BD97_AA05_E55C),
+        ];
+        for (len, seed, want) in cases {
+            assert_eq!(xxh64(&data[..len], seed), want, "len {len} seed {seed:#x}");
+        }
+        let msg = b"xxHash is an extremely fast non-cryptographic hash algorithm";
+        assert_eq!(xxh64(msg, 0), 0x93D1_C28A_200B_225F);
+        assert_eq!(xxh64(msg, 1), 0x653F_3290_0682_E984);
     }
 
     #[test]

@@ -1001,9 +1001,9 @@ mod tests {
 
     #[test]
     fn supervisor_and_chaos_files_are_hot_path() {
-        // The per-burst commit (journal append) and the per-item chaos
+        // The per-slab commit (journal push) and the per-item chaos
         // probe must stay allocation- and clock-free…
-        let alloc = "fn append(&mut self) {\n    let s = format!(\"x\");\n}\n";
+        let alloc = "fn commit_slab(&mut self) {\n    let s = format!(\"x\");\n}\n";
         assert_eq!(
             run(rule_hot_path, "pipeline/src/supervisor.rs", alloc).len(),
             1

@@ -24,15 +24,23 @@
 //!
 //! ## Checkpoint + journal: what recovery rebuilds from
 //!
-//! Every worker appends each applied item to a bounded in-memory
-//! **replay journal** and seals a wire-v2 snapshot **checkpoint** every
-//! `checkpoint_interval` applied items. Checkpoints are double-buffered:
-//! a new seal lands in the standby slot and only then becomes "latest",
-//! so a torn or corrupted checkpoint never replaces a good one. The
-//! journal is pruned only up to the *older* checkpoint's sequence, which
+//! Every worker hands each applied slab to a bounded in-memory **replay
+//! journal** and seals a wire-v2 snapshot **checkpoint** every
+//! `checkpoint_interval` applied items. The journal holds whole slabs:
+//! the worker *moves* the slab's item buffer in (no item is copied) and
+//! the journal records only the applied-item sequence of the slab's first
+//! item, so committing costs the same for a 1-item slab as for a
+//! 4096-item one. Checkpoints are double-buffered: a new seal lands in
+//! the standby slot and only then becomes "latest", so a torn or
+//! corrupted checkpoint never replaces a good one. The journal is pruned
+//! by whole slabs, only up to the *older* checkpoint's sequence, which
 //! means `older checkpoint + journal` still reconstructs the full state
 //! when the newest checkpoint fails its own checksum — corruption costs
-//! replay time, not data.
+//! replay time, not data. Seals happen only between slab commits, so a
+//! checkpoint's sequence is always a slab boundary and no slab straddles
+//! the prune point. The journal's bound is counted in items,
+//! `2 × (checkpoint_interval + slab_capacity)` with saturating
+//! arithmetic, and nothing is reserved up front.
 //!
 //! Recovery therefore rebuilds `restore(newest valid checkpoint) +
 //! replay(journal suffix)`, yielding a filter equal to the crashed one at
@@ -44,8 +52,8 @@
 //! — so they are excluded from the window.)
 //!
 //! All of this state lives behind one uncontended mutex per shard
-//! ([`ShardRecovery`]), written by the worker in per-slab batches (the
-//! worker takes the lock once per slab of up to
+//! ([`ShardRecovery`]), written by the worker once per slab (one lock
+//! acquisition and one journal push per slab of up to
 //! `PipelineConfig::slab_capacity` items) and read by the router only
 //! during recovery — so the fault-free hot path pays one uncontended
 //! lock plus a handful of word writes per slab. Generation fencing
@@ -123,9 +131,9 @@ impl ShardState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorConfig {
     /// Seal a checkpoint every this many applied items (per shard). The
-    /// replay journal is sized to `2 × (interval + burst)` entries so
-    /// that even a corrupted newest checkpoint recovers losslessly from
-    /// the older one.
+    /// replay journal is bounded at `2 × (interval + slab)` items
+    /// (saturating) so that even a corrupted newest checkpoint recovers
+    /// losslessly from the older one.
     pub checkpoint_interval: u64,
     /// How long a shard's progress counter may stay frozen while its
     /// queue is refusing items before the worker is declared hung.
@@ -239,8 +247,9 @@ pub enum RecoveredBase {
 
 /// One recovery event, as recorded in
 /// [`PipelineSummary::recoveries`](crate::PipelineSummary::recoveries).
-/// The loss bound: a crash loses exactly `lost` items — the burst being
-/// applied plus the in-ring slab at crash time — and nothing else.
+/// The loss bound: a crash loses exactly `lost` items — the slab being
+/// applied plus the slabs queued in its ring at crash time — and nothing
+/// else.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryRecord {
     /// Shard that crashed.
@@ -270,11 +279,19 @@ pub struct RecoveryRecord {
     pub restart_latency: Duration,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct JournalEntry {
-    seq: u64,
-    key: u64,
-    value: f64,
+/// One committed slab: its items, moved in from the worker, and the
+/// applied-item sequence of the first of them.
+#[derive(Debug)]
+struct JournalSlab {
+    first_seq: u64,
+    items: Vec<(u64, f64)>,
+}
+
+impl JournalSlab {
+    /// Sequence of the slab's last item.
+    fn last_seq(&self) -> u64 {
+        self.first_seq + self.items.len() as u64 - 1
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -283,8 +300,8 @@ struct Checkpoint {
     bytes: Vec<u8>,
 }
 
-/// The mutex-guarded half of a shard's recovery state. Workers append to
-/// it once per burst; the router reads it only while recovering or
+/// The mutex-guarded half of a shard's recovery state. Workers commit to
+/// it once per slab; the router reads it only while recovering or
 /// summarizing.
 #[derive(Debug)]
 pub(crate) struct RecoveryInner {
@@ -299,8 +316,12 @@ pub(crate) struct RecoveryInner {
     /// Items shed by the worker under `DropOldest` (popped, discarded,
     /// never applied).
     pub(crate) shed: u64,
-    journal: VecDeque<JournalEntry>,
-    journal_cap: usize,
+    /// Committed slabs in sequence order, never empty ones.
+    journal: VecDeque<JournalSlab>,
+    /// Items held across `journal`.
+    journal_items: u64,
+    /// Bound on `journal_items`.
+    journal_cap: u64,
     slots: [Option<Checkpoint>; 2],
     latest: usize,
     seals: u64,
@@ -321,19 +342,24 @@ pub(crate) struct ShardRecovery {
 }
 
 impl ShardRecovery {
-    /// `max_burst` is the largest batch a worker commits under one lock
+    /// `max_slab` is the largest slab a worker commits under one lock
     /// acquisition — the pipeline's slab capacity — so the journal can
     /// always absorb a full checkpoint interval plus one in-flight slab
-    /// on both sides of the double-buffered prune horizon.
-    pub(crate) fn new(checkpoint_interval: u64, max_burst: usize) -> Self {
-        let journal_cap = 2 * (checkpoint_interval as usize + max_burst);
+    /// on both sides of the double-buffered prune horizon. The bound
+    /// saturates (an interval near `u64::MAX` means "never prune") and
+    /// nothing is allocated until the first commit.
+    pub(crate) fn new(checkpoint_interval: u64, max_slab: usize) -> Self {
+        let journal_cap = checkpoint_interval
+            .saturating_add(max_slab as u64)
+            .saturating_mul(2);
         Self {
             inner: Mutex::new(RecoveryInner {
                 generation: 0,
                 applied: 0,
                 reports: 0,
                 shed: 0,
-                journal: VecDeque::with_capacity(journal_cap + 1),
+                journal: VecDeque::new(),
+                journal_items: 0,
                 journal_cap,
                 slots: [None, None],
                 latest: 0,
@@ -344,7 +370,7 @@ impl ShardRecovery {
     }
 
     /// Bump the liveness counter by `n` popped items; returns the value
-    /// *before* the bump (the pop ordinal base for the burst).
+    /// *before* the bump (the pop ordinal base for the slab).
     pub(crate) fn note_progress(&self, n: u64) -> u64 {
         self.progress.fetch_add(n, Ordering::Relaxed)
     }
@@ -378,19 +404,34 @@ pub(crate) struct Recovered {
 }
 
 impl RecoveryInner {
-    /// Journal one applied item. Called by the worker inside its batch
-    /// commit, after the generation check.
-    pub(crate) fn append(&mut self, key: u64, value: f64) {
-        self.applied += 1;
-        self.journal.push_back(JournalEntry {
-            seq: self.applied,
-            key,
-            value,
+    /// Journal one applied slab by moving its item buffer in. Called by
+    /// the worker inside its slab commit, after the generation check.
+    pub(crate) fn commit_slab(&mut self, mut items: Vec<(u64, f64)>) {
+        let n = items.len() as u64;
+        if n == 0 {
+            return;
+        }
+        // A slab flushed early (quiesce, explicit flush, shutdown) would
+        // otherwise pin its full capacity for as long as it is journaled.
+        if items.len() < items.capacity() / 2 {
+            items.shrink_to_fit();
+        }
+        self.journal.push_back(JournalSlab {
+            first_seq: self.applied + 1,
+            items,
         });
+        self.applied += n;
+        self.journal_items += n;
         // Unreachable by construction (seals prune faster than the cap),
         // but a bounded journal must stay bounded regardless.
-        if self.journal.len() > self.journal_cap {
-            self.journal.pop_front();
+        while self.journal_items > self.journal_cap {
+            self.pop_journal_front();
+        }
+    }
+
+    fn pop_journal_front(&mut self) {
+        if let Some(slab) = self.journal.pop_front() {
+            self.journal_items -= slab.items.len() as u64;
         }
     }
 
@@ -430,10 +471,12 @@ impl RecoveryInner {
         });
         self.latest = standby;
         // Keep the journal reaching back to the *older* checkpoint so a
-        // corrupt newest one still recovers losslessly.
+        // corrupt newest one still recovers losslessly. Seals fall between
+        // slab commits, so `bound` is a slab boundary and whole-slab
+        // pruning stops exactly at it.
         let bound = self.slots[1 - standby].as_ref().map_or(0, |c| c.seq);
-        while self.journal.front().is_some_and(|e| e.seq <= bound) {
-            self.journal.pop_front();
+        while self.journal.front().is_some_and(|s| s.last_seq() <= bound) {
+            self.pop_journal_front();
         }
         telemetry::checkpoint_sealed();
         // Runs on the worker thread (under the commit lock), so the
@@ -462,7 +505,8 @@ impl RecoveryInner {
         }
         // No checkpoint decoded. A fresh filter works iff the journal
         // still reaches back to item 1 (or nothing was ever applied).
-        let covers_all = self.applied == 0 || self.journal.front().is_some_and(|e| e.seq == 1);
+        let covers_all =
+            self.applied == 0 || self.journal.front().is_some_and(|s| s.first_seq == 1);
         if covers_all {
             let mut filter = build_fresh()?;
             let replayed = self.replay_onto(&mut filter, 0)?;
@@ -471,21 +515,22 @@ impl RecoveryInner {
         None
     }
 
-    /// Replay journal entries `(base_seq, applied]` onto `filter`,
+    /// Replay journaled items `(base_seq, applied]` onto `filter`,
     /// suppressing reports (the crashed generation already emitted
     /// them). `None` if the journal does not contiguously cover that
     /// range.
     fn replay_onto(&self, filter: &mut QuantileFilter, base_seq: u64) -> Option<u64> {
         let mut expected = base_seq + 1;
-        for e in &self.journal {
-            if e.seq <= base_seq {
+        for slab in &self.journal {
+            if slab.last_seq() < expected {
                 continue;
             }
-            if e.seq != expected {
-                return None;
-            }
-            let _ = filter.insert(&e.key, e.value);
-            expected += 1;
+            // Only a base inside the first replayed slab skips a prefix;
+            // a gap before the slab cannot be bridged.
+            let skip = expected.checked_sub(slab.first_seq)? as usize;
+            let items = &slab.items[skip..];
+            filter.insert_batch(items, &mut |_, _| {});
+            expected += items.len() as u64;
         }
         if expected != self.applied + 1 {
             return None;
@@ -517,6 +562,7 @@ impl RecoveryInner {
         let filter = build_fresh()?;
         self.applied = 0;
         self.journal.clear();
+        self.journal_items = 0;
         self.slots = [None, None];
         self.latest = 0;
         Some(Recovered {
@@ -549,18 +595,62 @@ mod tests {
         }
     }
 
+    /// Apply and commit `items` the way the supervised worker does, one
+    /// slab per lock hold, cutting slabs at the lengths in `slabs`
+    /// (cycled; a one-element `[1]` commits item by item).
+    fn drive_slabs(
+        rec: &ShardRecovery,
+        filter: &mut QuantileFilter,
+        items: &[(u64, f64)],
+        interval: u64,
+        slabs: &[usize],
+    ) {
+        let mut rest = items;
+        for &len in slabs.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (slab, tail) = rest.split_at(len.min(rest.len()));
+            rest = tail;
+            filter.insert_batch(slab, &mut |_, _| {});
+            let mut inner = rec.lock();
+            inner.commit_slab(slab.to_vec());
+            if inner.due_seal(interval) {
+                inner.seal_checkpoint(0, filter, None);
+            }
+            inner.assert_journal_invariants();
+        }
+    }
+
     fn drive(
         rec: &ShardRecovery,
         filter: &mut QuantileFilter,
         items: &[(u64, f64)],
         interval: u64,
     ) {
-        for &(k, v) in items {
-            let _ = filter.insert(&k, v);
-            let mut inner = rec.lock();
-            inner.append(k, v);
-            if inner.due_seal(interval) {
-                inner.seal_checkpoint(0, filter, None);
+        drive_slabs(rec, filter, items, interval, &[1]);
+    }
+
+    impl RecoveryInner {
+        /// The journal invariants: it holds at most its bound in items,
+        /// its slabs are contiguous, and it reaches back exactly to the
+        /// older checkpoint's seq + 1 (item 1 before a second seal).
+        fn assert_journal_invariants(&self) {
+            let held: u64 = self.journal.iter().map(|s| s.items.len() as u64).sum();
+            assert_eq!(held, self.journal_items);
+            assert!(held <= self.journal_cap, "{held} > {}", self.journal_cap);
+            let older = self.slots[1 - self.latest].as_ref().map_or(0, |c| c.seq);
+            match self.journal.front() {
+                Some(front) => assert_eq!(front.first_seq, older + 1),
+                None => assert_eq!(self.applied, older),
+            }
+            let mut next = self.journal.front().map_or(0, |s| s.first_seq);
+            for slab in &self.journal {
+                assert_eq!(slab.first_seq, next, "journal slabs not contiguous");
+                next = slab.last_seq() + 1;
+            }
+            if !self.journal.is_empty() {
+                assert_eq!(next, self.applied + 1);
             }
         }
     }
@@ -660,9 +750,46 @@ mod tests {
         assert_eq!(recovered.prior_applied, 200);
         assert_eq!(recovered.recovered_seq, 0);
         assert_eq!(inner.applied, 0);
-        // The lineage restarts cleanly: new appends journal from seq 1.
-        inner.append(1, 1.0);
-        assert_eq!(inner.applied, 1);
+        // The lineage restarts cleanly: new commits journal from seq 1.
+        inner.commit_slab(vec![(1, 1.0), (2, 2.0)]);
+        assert_eq!(inner.applied, 2);
+        inner.assert_journal_invariants();
+    }
+
+    #[test]
+    fn huge_interval_bound_saturates_and_keeps_the_whole_journal() {
+        // An interval that passes `validate()` but overflows any
+        // `interval + slab` sum: the bound saturates instead of wrapping
+        // to a tiny cap, and nothing is reserved up front.
+        for interval in [1u64 << 40, u64::MAX] {
+            let rec = ShardRecovery::new(interval, 256);
+            let mut filter = build();
+            let items = workload(700);
+            drive_slabs(&rec, &mut filter, &items, interval, &[256, 3, 64]);
+            let mut inner = rec.lock();
+            assert_eq!(inner.seals(), 0);
+            assert_eq!(inner.journal_items, 700);
+            let recovered = match inner.recover(&mut || Some(build())) {
+                Some(r) => r,
+                None => panic!("recover failed"),
+            };
+            assert_eq!(recovered.base, RecoveredBase::Fresh);
+            assert_eq!(recovered.replayed, 700);
+            assert_eq!(recovered.filter.snapshot(), filter.snapshot());
+        }
+    }
+
+    #[test]
+    fn sparse_slabs_do_not_pin_their_capacity() {
+        let rec = ShardRecovery::new(1000, 256);
+        let mut inner = rec.lock();
+        let mut slab = Vec::with_capacity(256);
+        slab.push((1u64, 1.0));
+        inner.commit_slab(slab);
+        inner.commit_slab(Vec::new());
+        assert_eq!(inner.journal.len(), 1, "empty slabs are not journaled");
+        assert!(inner.journal[0].items.capacity() < 128);
+        inner.assert_journal_invariants();
     }
 
     #[test]
@@ -728,11 +855,13 @@ mod tests {
             raw in proptest::collection::vec((0u64..64, 0.0f64..500.0), 1..300),
             interval in 1u64..40,
             corrupt_mode in 0u8..3,
+            slabs in proptest::collection::vec(1usize..=64, 1..8),
         ) {
             let crash_at = raw.len();
-            let rec = ShardRecovery::new(interval, 16);
+            let max_slab = slabs.iter().copied().max().unwrap_or(1);
+            let rec = ShardRecovery::new(interval, max_slab);
             let mut live = build();
-            drive(&rec, &mut live, &raw, interval);
+            drive_slabs(&rec, &mut live, &raw, interval, &slabs);
             let mut inner = rec.lock();
             match corrupt_mode {
                 0 => {}
@@ -812,11 +941,11 @@ mod tests {
                         let rec = Arc::clone(&rec);
                         // Worker of generation 0: the real commit shape —
                         // generation checked under the same lock hold as
-                        // the append.
+                        // the journal commit.
                         thread::spawn(move || {
                             let mut inner = rec.lock();
                             if inner.generation == 0 {
-                                inner.append(1, 1.0);
+                                inner.commit_slab(vec![(1, 1.0)]);
                             }
                         })
                     };
@@ -840,8 +969,8 @@ mod tests {
         }
 
         /// Seeded-bug self-test: the same commit with the generation
-        /// check hoisted *outside* the lock hold that appends. The
-        /// fence can then land between check and append, and the stale
+        /// check hoisted *outside* the lock hold that commits. The
+        /// fence can then land between check and commit, and the stale
         /// commit goes through — the checker must catch it.
         #[test]
         fn seeded_check_outside_lock_caught() {
@@ -851,10 +980,10 @@ mod tests {
                     let rec = Arc::clone(&rec);
                     thread::spawn(move || {
                         // BUG under test: generation read under one lock
-                        // hold, append under another.
+                        // hold, commit under another.
                         let gen_then = rec.lock().generation;
                         if gen_then == 0 {
-                            rec.lock().append(1, 1.0);
+                            rec.lock().commit_slab(vec![(1, 1.0)]);
                         }
                     })
                 };

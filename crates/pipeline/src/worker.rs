@@ -25,9 +25,12 @@
 //! Two loop bodies live here. [`run_worker`] is the unsupervised loop:
 //! one pop, one batch insert, reports inline. [`run_supervised`] adds
 //! the crash-recovery contract from [`crate::supervisor`]: a slab is
-//! popped, applied, then *committed* — journaled under the shard's
-//! recovery lock, with a checkpoint sealed when due — before any report
-//! is sent. The order is the whole correctness story:
+//! popped, applied, then *committed* — its item buffer moved whole into
+//! the journal under the shard's recovery lock ([`Slab::into_items`], no
+//! item copied), with a checkpoint sealed when due — before any report
+//! is sent. Reports are staged as `(key, report)` pairs during apply, so
+//! they no longer need the slab once it has been handed to the journal.
+//! The order is the whole correctness story:
 //!
 //! * reports only ever describe journaled items, so a recovered filter
 //!   (checkpoint + journal replay) is never *behind* the reports the
@@ -39,9 +42,10 @@
 //!   has fenced off (e.g. one that hung and later woke) exits without
 //!   journaling, reporting, or sealing anything.
 //!
-//! One lock acquisition per slab keeps the checkpoint machinery off the
-//! per-item path (the QF-L002 requirement); the slab capacity bounds
-//! both the amortization window and the per-commit loss window.
+//! One lock acquisition and one journal push per slab keep the
+//! checkpoint machinery off the per-item path (the QF-L002 requirement);
+//! the slab capacity bounds both the amortization window and the
+//! per-commit loss window.
 
 use crate::chaos::ArmedChaos;
 use crate::flight::{self, ShardFlight};
@@ -115,6 +119,13 @@ impl Slab {
     #[inline]
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// Give up the item buffer, in admission order, without copying it
+    /// (the supervised worker journals applied slabs this way).
+    #[inline]
+    pub fn into_items(self) -> Vec<(u64, f64)> {
+        self.items
     }
 }
 
@@ -195,8 +206,10 @@ pub(crate) struct Supervision {
 /// Per-commit report staging for the supervised loop: reports are
 /// buffered through apply + commit and only sent once the slab is
 /// journaled (see the module docs for why the order is load-bearing).
+/// Each carries its key, because the slab itself has moved into the
+/// journal by the time the reports are sent.
 struct ReportBuf {
-    buf: Vec<(usize, Report)>,
+    buf: Vec<(u64, Report)>,
 }
 
 impl ReportBuf {
@@ -349,12 +362,12 @@ pub(crate) fn run_supervised(
                     for (i, &(key, value)) in items.iter().enumerate() {
                         chaos.before_apply(shard, base + i as u64, key);
                         if let Some(report) = filter.insert(&key, value) {
-                            staged.buf.push((i, report));
+                            staged.buf.push((key, report));
                         }
                     }
                 } else {
                     let buf = &mut staged.buf;
-                    filter.insert_batch(items, &mut |i, report| buf.push((i, report)));
+                    filter.insert_batch(items, &mut |i, report| buf.push((items[i].0, report)));
                 }
                 let slab_reports = staged.buf.len() as u64;
                 {
@@ -370,9 +383,7 @@ pub(crate) fn run_supervised(
                             filter,
                         };
                     }
-                    for &(key, value) in items {
-                        inner.append(key, value);
-                    }
+                    inner.commit_slab(slab.into_items());
                     inner.reports += slab_reports;
                     if inner.due_seal(sup.checkpoint_interval) {
                         inner.seal_checkpoint(shard, &filter, sup.chaos.as_ref());
@@ -380,13 +391,9 @@ pub(crate) fn run_supervised(
                 }
                 processed += n as u64;
                 reports_total += slab_reports;
-                for (i, report) in staged.buf.drain(..) {
+                for (key, report) in staged.buf.drain(..) {
                     telemetry::report();
-                    let _ = sink.send(Event::Report {
-                        shard,
-                        key: items[i].0,
-                        report,
-                    });
+                    let _ = sink.send(Event::Report { shard, key, report });
                 }
             }
         }

@@ -406,6 +406,68 @@ fn recovery_equals_serial_reference_minus_the_lost_item() {
     );
 }
 
+/// A checkpoint interval that passes `validate()` but overflows any
+/// `interval + slab` arithmetic (`u64::MAX`: never seal) must neither
+/// abort the launch with a huge up-front journal reservation nor wrap
+/// the journal bound to a few hundred items. No checkpoint ever seals,
+/// so the journal is the only recovery source: a crash on an idle shard
+/// must recover losslessly from a fresh filter plus the whole journal.
+#[test]
+fn never_sealing_interval_recovers_from_the_full_journal() {
+    let cfg = config(1, 256, BackpressurePolicy::Block);
+    let poison_key = 999_999u64;
+    let items = workload(17, N_ITEMS);
+    let half = items.len() / 2;
+    let expected = serial_reference(&cfg, &items);
+    let plan = ChaosPlan::new().with(Fault::Poison {
+        key: poison_key,
+        times: 1,
+    });
+    let mut pipe = match Pipeline::launch_chaos(cfg, sup_config(u64::MAX), &plan) {
+        Ok(p) => p,
+        Err(e) => panic!("launch: {e}"),
+    };
+    let mut got = Vec::new();
+    drive(&mut pipe, &items[..half], &mut got);
+    // Let the shard commit everything, so the poison item crashes an
+    // idle worker and is the whole loss window.
+    pipe.flush();
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while pipe.queue_len(0) > 0 {
+        assert!(std::time::Instant::now() < deadline, "queue never drained");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(if cfg!(miri) { 50 } else { 20 }));
+    match pipe.ingest(poison_key, 777.0) {
+        Ok(IngestOutcome::Enqueued) => {}
+        other => panic!("poison item should enqueue, got {other:?}"),
+    }
+    pipe.flush();
+    std::thread::sleep(Duration::from_millis(if cfg!(miri) { 100 } else { 30 }));
+    drive(&mut pipe, &items[half..], &mut got);
+    got.extend(pipe.poll_reports());
+    let summary = match pipe.shutdown() {
+        Ok(s) => s,
+        Err(e) => panic!("shutdown: {e}"),
+    };
+    got.extend(summary.reports.iter().copied());
+
+    assert_conserved(&summary, "never-sealing interval");
+    assert_eq!(summary.restarts, 1, "{summary:?}");
+    assert_eq!(summary.lost_to_crash, 1, "loss window is the poison item");
+    assert_eq!(summary.processed, items.len() as u64);
+    let rec = &summary.recoveries[0];
+    assert_eq!(rec.base, Some(RecoveredBase::Fresh), "{rec:?}");
+    assert_eq!(rec.recovered_seq, half as u64, "{rec:?}");
+    assert_eq!(rec.prior_applied, rec.recovered_seq, "{rec:?}");
+    assert_eq!(rec.replayed, half as u64, "{rec:?}");
+    assert_eq!(
+        per_shard_sequences(1, &got),
+        expected,
+        "recovered output must equal the serial reference minus the lost item"
+    );
+}
+
 /// Satellite regression: a worker killed *between slab claim and commit*
 /// (the panic lands mid-slab, after `note_progress` claimed the pop
 /// ordinals but before the journal commit) loses the whole in-flight

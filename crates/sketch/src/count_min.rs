@@ -10,7 +10,7 @@
 //! measures the real design the paper compared against.
 
 use crate::counter::SketchCounter;
-use crate::snapshot::{SketchShape, SketchState, SKETCH_KIND_CMS};
+use crate::snapshot::{write_seeds_and_cells, SketchShape, SketchState, SKETCH_KIND_CMS};
 use crate::traits::WeightSketch;
 use qf_hash::wire::{ByteReader, ByteWriter, WireError};
 use qf_hash::{HashFamily, RowLanes, StreamKey};
@@ -129,12 +129,7 @@ impl<C: SketchCounter> SketchState for CountMinSketch<C> {
     }
 
     fn write_state(&self, w: &mut ByteWriter) {
-        for &seed in self.family.seeds() {
-            w.put_u64(seed);
-        }
-        for cell in &self.cells {
-            w.put_int_narrow(cell.to_i64(), C::BYTES);
-        }
+        write_seeds_and_cells(self.family.seeds(), &self.cells, w);
     }
 
     fn from_state(shape: SketchShape, r: &mut ByteReader<'_>) -> Result<Self, WireError> {

@@ -8,6 +8,7 @@
 //! is covered by the config digest, state lives in the state section. Both
 //! are integrity-checked by the whole-file checksum.
 
+use crate::counter::SketchCounter;
 use qf_hash::wire::{ByteReader, ByteWriter, WireError};
 
 /// Wire tag for [`crate::CountSketch`].
@@ -79,10 +80,37 @@ pub trait SketchState: Sized {
     /// state section.
     fn write_state(&self, w: &mut ByteWriter);
 
+    /// Bytes [`Self::write_state`] appends: one `u64` seed per row, then
+    /// `rows × width` cells of `counter_bytes` each. Lets a snapshot
+    /// encoder size its buffer once.
+    fn state_len(&self) -> usize {
+        let shape = self.shape();
+        let (rows, width) = (shape.rows as usize, shape.width as usize);
+        rows * 8 + rows * width * usize::from(shape.counter_bytes)
+    }
+
     /// Rebuild the sketch from a previously recorded shape and state.
     ///
     /// Must never panic: malformed input surfaces as a [`WireError`].
     fn from_state(shape: SketchShape, r: &mut ByteReader<'_>) -> Result<Self, WireError>;
+}
+
+/// The state section shared by both sketch kinds: the row seeds, then
+/// every cell as its low `C::BYTES` little-endian bytes (two's
+/// complement — the encoding `ByteReader::get_int_narrow` reads back).
+/// The cells are encoded in bulk into one reserved span.
+pub(crate) fn write_seeds_and_cells<C: SketchCounter>(
+    seeds: &[u64],
+    cells: &[C],
+    w: &mut ByteWriter,
+) {
+    for &seed in seeds {
+        w.put_u64(seed);
+    }
+    let out = w.put_zeroed(cells.len() * C::BYTES);
+    for (dst, cell) in out.chunks_exact_mut(C::BYTES).zip(cells) {
+        dst.copy_from_slice(&cell.to_i64().to_le_bytes()[..C::BYTES]);
+    }
 }
 
 #[cfg(test)]

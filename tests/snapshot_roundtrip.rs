@@ -178,3 +178,92 @@ fn multi_criteria_filter_resumes_identically() {
         assert_eq!(mc.insert(&key, v), restored.insert(&key, v), "item {i}");
     }
 }
+
+/// Deterministic warm-up stream for the wire-format golden: a splitmix64
+/// sequence over 3,000 keys with a hot set far over the threshold and
+/// fractional values, so every part of the state (occupied and free
+/// candidate slots, signed sketch cells, both RNG streams, statistics)
+/// carries non-trivial bytes. Independent of the dataset generators, so
+/// the golden does not move with them.
+fn golden_stream(n: usize) -> Vec<(u64, f64)> {
+    let mut s = 0x6F1D_E7A1_5EED_0001u64;
+    let mut next = move || {
+        s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = s;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    (0..n)
+        .map(|_| {
+            let r = next();
+            if r % 8 == 0 {
+                ((r >> 40) & 15, 350.0 + ((r >> 20) & 255) as f64 + 0.25)
+            } else {
+                ((r >> 32) % 3000, ((r >> 8) & 1023) as f64 / 7.0)
+            }
+        })
+        .collect()
+}
+
+/// Wire-v2 byte-identity golden: the xxh64 of `snapshot()` for four
+/// containers warmed by the fixed stream above, plus one filter whose
+/// buckets span two occupancy words. Any encoder change must leave
+/// every digest — and every length — exactly as pinned here.
+#[test]
+fn snapshot_bytes_match_wire_v2_golden() {
+    use qf_repro::qf_hash::xxh64;
+    use qf_repro::quantile_filter::epoch::FixedSize;
+
+    let items = golden_stream(20_000);
+    let bench = Criteria::new(30.0, 0.95, 300.0).unwrap();
+    let digest = |bytes: &[u8]| (bytes.len(), xxh64(bytes, 0));
+
+    let mut cs: QuantileFilter = QuantileFilterBuilder::new(bench)
+        .memory_budget_bytes(32 * 1024)
+        .seed(0x5EED)
+        .build();
+    let mut cms: QuantileFilter<CountMinSketch<i32>> = QuantileFilterBuilder::new(bench)
+        .candidate_buckets(96)
+        .bucket_len(6)
+        .seed(0xC35)
+        .build_with_sketch(CountMinSketch::new(3, 700, 0xC35));
+    let mut epoch: EpochFilter = EpochFilter::new(bench, 8 * 1024, 7_000, 0xE90C, FixedSize);
+    let mut multi = MultiCriteriaFilter::new(
+        QuantileFilterBuilder::new(Criteria::default())
+            .memory_budget_bytes(8 * 1024)
+            .seed(0x3C)
+            .build(),
+        vec![bench, crit()],
+    );
+    let mut wide: QuantileFilter<CountSketch<i16>> = QuantileFilterBuilder::new(bench)
+        .candidate_buckets(5)
+        .bucket_len(70)
+        .vague_dims(3, 200)
+        .seed(0x71DE)
+        .build_with_counter::<i16>();
+    for &(k, v) in &items {
+        cs.insert(&k, v);
+        cms.insert(&k, v);
+        epoch.insert(&k, v);
+        multi.insert(&k, v);
+        wide.insert(&k, v);
+    }
+    let got = [
+        digest(&cs.snapshot()),
+        digest(&cms.snapshot()),
+        digest(&epoch.snapshot()),
+        digest(&multi.snapshot()),
+        digest(&wide.snapshot()),
+    ];
+    let want: [(usize, u64); 5] = [
+        (37316, 0x57BE_6845_F2BF_BFA8),
+        (12620, 0x162A_9C46_9B0B_12EB),
+        (9534, 0xB64A_8D46_FE96_209F),
+        (9522, 0x589A_A616_A7C6_CF2E),
+        (3838, 0x12DA_F258_5F5C_FE64),
+    ];
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(g, w, "container {i}: snapshot bytes changed (len, xxh64)");
+    }
+}
