@@ -16,11 +16,13 @@
 //! slot when it fills (and on quiesce, snapshot, [`Pipeline::flush`],
 //! and shutdown), so the Lamport handshake, the park/wake handshake,
 //! and the drop accounting are paid once per slab instead of once per
-//! item. Each worker owns its filter outright — the paper's
-//! single-writer deployment model, preserved per shard — drains each
-//! slab through the fused `insert_batch` hot path, and sends [`Event`]s
-//! into one shared mpsc sink the caller drains with
-//! [`Pipeline::poll_reports`].
+//! item. [`Pipeline::poll_reports`] also hands a partial slab to any
+//! shard whose queue is empty, so at partial load the batch size
+//! follows the load instead of a fixed fill level. Each worker owns its
+//! filter outright — the paper's single-writer deployment model,
+//! preserved per shard — drains each slab through the fused
+//! `insert_batch` hot path, and sends [`Event`]s into one shared mpsc
+//! sink the caller drains with [`Pipeline::poll_reports`].
 //!
 //! ## Supervision (opt-in)
 //!
@@ -129,9 +131,13 @@ pub struct PipelineConfig {
     pub criteria: Criteria,
     /// Memory budget per shard filter, in bytes.
     pub memory_bytes_per_shard: usize,
-    /// Slots per shard queue (rounded up to a power of two, minimum 2).
-    /// Each slot carries one slab, so the queue buffers up to
-    /// `queue_capacity * slab_capacity` items.
+    /// Slots per shard queue (minimum 2), rounded up to a power of two:
+    /// `queue_capacity: 1000` makes a 1024-slot ring. Each slot carries
+    /// one slab, so the queue buffers up to
+    /// `queue_capacity.next_power_of_two() * slab_capacity` items, and a
+    /// supervised crash loses at most
+    /// `(queue_capacity.next_power_of_two() + 1) * slab_capacity` (the
+    /// ring plus the slab the worker was applying).
     pub queue_capacity: usize,
     /// Items per slab — the router-side batch handed over per ring slot
     /// (minimum 1; `1` reproduces the v1 per-item handoff semantics
@@ -186,7 +192,8 @@ impl PipelineConfig {
 pub enum IngestOutcome {
     /// The item was admitted: it sits in its shard's router slab or on
     /// the shard queue (the slab is an extension of the queue — flushed
-    /// on fill, quiesce, snapshot, [`Pipeline::flush`], and shutdown).
+    /// on fill, quiesce, snapshot, [`Pipeline::flush`], and shutdown, and
+    /// handed to an idle shard by [`Pipeline::poll_reports`]).
     Enqueued,
     /// The queue was full and the policy shed the *incoming* item
     /// ([`BackpressurePolicy::DropNewest`], or the fairness drop under
@@ -271,7 +278,8 @@ struct ShardHandle {
     queue: Producer<Msg>,
     worker: Option<JoinHandle<WorkerExit>>,
     /// The shard's accumulating slab: admitted items wait here until the
-    /// slab fills (or a flush point), then travel as one ring slot.
+    /// slab fills (or a flush point, or a poll finds the queue empty),
+    /// then travel as one ring slot.
     buf: Slab,
     /// Unsupervised only: the worker was observed dead at a flush; all
     /// further items for this shard are rejected without re-probing.
@@ -750,7 +758,8 @@ impl Pipeline {
     }
 
     /// Items currently buffered in `shard`'s router slab, waiting for
-    /// the slab to fill or a flush point. These items are counted as
+    /// the slab to fill, a flush point, or a [`Self::poll_reports`] that
+    /// finds the shard's queue empty. These items are counted as
     /// enqueued (the slab is an extension of the queue); snapshots and
     /// shutdown always flush them first.
     pub fn buffered_len(&self, shard: usize) -> usize {
@@ -779,8 +788,9 @@ impl Pipeline {
     ///
     /// The admitted item lands in the shard's router slab; the slab
     /// travels to the worker when it fills (the backpressure policy
-    /// resolves *at that flush*, against the incoming item) or at the
-    /// next quiesce/flush/shutdown point.
+    /// resolves *at that flush*, against the incoming item), at the
+    /// next quiesce/flush/shutdown point, or at a [`Self::poll_reports`]
+    /// that finds the shard idle.
     pub fn ingest(&mut self, key: u64, value: f64) -> Result<IngestOutcome, PipelineError> {
         self.offered += 1;
         let shard = shard_of(key, self.shards.len());
@@ -1248,7 +1258,18 @@ impl Pipeline {
 
     /// Drain every report currently available without blocking, in sink
     /// arrival order (per shard: emission order).
+    ///
+    /// Each call also hands every *idle* shard (empty queue) its partial
+    /// router slab, so a caller that polls while it has nothing to
+    /// ingest gets reports at the item that triggers them instead of
+    /// when the slab fills. The hand-over is one non-blocking push per
+    /// shard: it never drops, blocks, recovers or changes a counter, and
+    /// a slab that bounces off a dead worker stays buffered for the next
+    /// ingest, flush, snapshot or shutdown to resolve. Shards whose queue
+    /// is not empty keep receiving full slabs only, so under load the
+    /// batching (and the pipeline's capacity) is unchanged.
     pub fn poll_reports(&mut self) -> Vec<ReportEvent> {
+        self.flush_idle();
         let mut out: Vec<ReportEvent> = self.pending.drain(..).collect();
         loop {
             match self.events.try_recv() {
@@ -1263,6 +1284,28 @@ impl Pipeline {
             }
         }
         out
+    }
+
+    /// The poll-time flush: push each idle shard's partial slab with a
+    /// single `try_push`. Only the router pushes, so an empty queue
+    /// cannot turn `Full` under it; on `Disconnected` the slab goes back
+    /// into the shard's buffer unchanged. Quarantined shards never hold
+    /// buffered items, so the emptiness test skips them.
+    fn flush_idle(&mut self) {
+        for shard in 0..self.shards.len() {
+            let h = &mut self.shards[shard];
+            if h.down || h.buf.is_empty() || !h.queue.is_empty() {
+                continue;
+            }
+            let slab = h.take_buf();
+            match h.queue.try_push(Msg::Slab(slab)) {
+                Ok(()) if h.stalled => self.note_backpressure(shard, false),
+                Ok(()) => {}
+                Err((_, Msg::Slab(slab))) => h.buf = slab,
+                // `try_push` hands back the message it was given.
+                Err(_) => {}
+            }
+        }
     }
 
     /// Snapshot all shard filters at a consistent cut *while the pipeline
@@ -1819,6 +1862,185 @@ mod tests {
             Err(PipelineError::WorkerDied { shard: 0 }) => {}
             other => panic!("shutdown must still surface the death: {other:?}"),
         }
+    }
+
+    /// Supervision for the poll-time flush tests: checkpoints every 64
+    /// items, and a watchdog that never fires, so only panics recover.
+    fn sup() -> SupervisorConfig {
+        SupervisorConfig {
+            checkpoint_interval: 64,
+            watchdog_deadline: Duration::from_secs(300),
+            ..SupervisorConfig::default()
+        }
+    }
+
+    /// Spin until `done` holds. Worker death is awaited through the
+    /// ring's liveness flag rather than a sleep, so these tests never
+    /// race the unwind.
+    fn wait_until(mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !done() {
+            assert!(Instant::now() < deadline, "condition never held");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Background keys at low values, two hot keys at high ones.
+    fn mixed_items(n: u64, salt: u64) -> Vec<(u64, f64)> {
+        (0..n)
+            .map(|i| {
+                if i % 4 == 0 {
+                    (1_000 + (i / 4 + salt) % 2, 500.0)
+                } else {
+                    ((i * 7 + salt) % 16, 5.0)
+                }
+            })
+            .collect()
+    }
+
+    /// `poll_reports` on a dead worker, unsupervised and supervised: the
+    /// push bounces, the call returns at once, the slab goes back into
+    /// the router buffer unchanged and nothing is recovered or marked
+    /// down. The next real flush point decides the shard's fate exactly
+    /// as before.
+    #[test]
+    fn poll_leaves_a_dead_shards_slab_buffered() {
+        for supervised in [false, true] {
+            let mut config = cfg(1, BackpressurePolicy::Block);
+            config.slab_capacity = 8;
+            let mut pipe = if supervised {
+                let plan = ChaosPlan::new().with(crate::Fault::Panic {
+                    shard: 0,
+                    at_pop: 0,
+                });
+                let mut pipe = match Pipeline::launch_chaos(config, sup(), &plan) {
+                    Ok(p) => p,
+                    Err(e) => panic!("launch: {e}"),
+                };
+                // The first item travels alone (the poll hands it over)
+                // and kills the worker.
+                assert_eq!(pipe.ingest(99, 5.0).ok(), Some(IngestOutcome::Enqueued));
+                assert!(pipe.poll_reports().is_empty());
+                assert_eq!(pipe.buffered_len(0), 0);
+                pipe
+            } else {
+                let mut pipe = match Pipeline::launch(config) {
+                    Ok(p) => p,
+                    Err(e) => panic!("launch: {e}"),
+                };
+                assert!(pipe.shards[0].queue.push_blocking(Msg::Shutdown).is_ok());
+                pipe
+            };
+            wait_until(|| !pipe.shards[0].queue.consumer_alive());
+            for key in 0..3u64 {
+                assert_eq!(pipe.ingest(key, 5.0).ok(), Some(IngestOutcome::Enqueued));
+            }
+            let t0 = Instant::now();
+            for _ in 0..16 {
+                assert!(pipe.poll_reports().is_empty());
+            }
+            if !cfg!(miri) {
+                assert!(
+                    t0.elapsed() < Duration::from_secs(1),
+                    "polling a dead shard blocked for {:?}",
+                    t0.elapsed()
+                );
+            }
+            assert_eq!(pipe.buffered_len(0), 3, "supervised={supervised}");
+            assert!(!pipe.shards[0].down, "supervised={supervised}");
+            assert_eq!(pipe.restarts(), 0, "poll_reports must not recover");
+            pipe.flush();
+            if supervised {
+                let summary = match pipe.shutdown() {
+                    Ok(s) => s,
+                    Err(e) => panic!("shutdown: {e}"),
+                };
+                assert_eq!(summary.lost_to_crash, 1, "{summary:?}");
+                assert_eq!(summary.processed, 3, "{summary:?}");
+                assert_eq!(summary.restarts, 1);
+                assert_eq!(summary.enqueued, summary.processed + summary.lost_to_crash);
+            } else {
+                assert!(pipe.shards[0].down);
+                match pipe.shutdown() {
+                    Err(PipelineError::WorkerDied { shard: 0 }) => {}
+                    other => panic!("shutdown must still surface the death: {other:?}"),
+                }
+            }
+        }
+    }
+
+    /// A slab handed over by `poll_reports` is a slab like any other when
+    /// its worker dies in it: the poll sends a 3-item slab to the idle
+    /// worker, the worker panics inside it, and exactly those 3 items are
+    /// the loss window — the recovered output equals the serial
+    /// reference over the stream without them.
+    #[test]
+    fn poll_flushed_partial_slab_is_the_whole_loss_window() {
+        let mut config = cfg(1, BackpressurePolicy::Block);
+        config.slab_capacity = 8;
+        // Whole slabs, so the prefix leaves nothing buffered.
+        let (prefix, suffix) = (mixed_items(64, 0), mixed_items(64, 1));
+        // Hot items: had they survived, they would have moved the hot
+        // keys' state and the report sequence with it.
+        let doomed = [(1_000u64, 500.0), (1_001, 450.0), (1_000, 550.0)];
+        let plan = ChaosPlan::new().with(crate::Fault::Panic {
+            shard: 0,
+            at_pop: prefix.len() as u64 + 1,
+        });
+        let mut pipe = match Pipeline::launch_chaos(config, sup(), &plan) {
+            Ok(p) => p,
+            Err(e) => panic!("launch: {e}"),
+        };
+        for &(key, value) in prefix.iter().chain(&doomed) {
+            assert_eq!(pipe.ingest(key, value).ok(), Some(IngestOutcome::Enqueued));
+        }
+        assert_eq!(pipe.buffered_len(0), doomed.len());
+        // The worker commits slabs in order, so the prefix is journaled
+        // before it pops the doomed slab; it only has to leave the queue
+        // empty for the poll to hand that slab over.
+        wait_until(|| pipe.queue_len(0) == 0);
+        let mut got = pipe.poll_reports();
+        assert_eq!(pipe.buffered_len(0), 0, "poll did not hand over the slab");
+        wait_until(|| !pipe.shards[0].queue.consumer_alive());
+        for &(key, value) in &suffix {
+            assert_eq!(pipe.ingest(key, value).ok(), Some(IngestOutcome::Enqueued));
+            got.extend(pipe.poll_reports());
+        }
+        let summary = match pipe.shutdown() {
+            Ok(s) => s,
+            Err(e) => panic!("shutdown: {e}"),
+        };
+        got.extend(summary.reports.iter().copied());
+        assert_eq!(
+            summary.enqueued,
+            (prefix.len() + doomed.len() + suffix.len()) as u64
+        );
+        assert_eq!(
+            summary.lost_to_crash,
+            doomed.len() as u64,
+            "the 3-item slab is the whole loss window: {summary:?}"
+        );
+        assert_eq!(summary.processed, (prefix.len() + suffix.len()) as u64);
+        assert_eq!(summary.enqueued, summary.processed + summary.lost_to_crash);
+        assert_eq!(summary.restarts, 1);
+        assert_eq!(summary.recoveries[0].cause, CrashCause::Panic);
+        assert_eq!(summary.recoveries[0].lost, doomed.len() as u64);
+        let mut reference = match config.build_filter(0) {
+            Ok(f) => f,
+            Err(e) => panic!("build: {e}"),
+        };
+        let expected: Vec<u64> = prefix
+            .iter()
+            .chain(&suffix)
+            .filter(|&&(key, value)| reference.insert(&key, value).is_some())
+            .map(|&(key, _)| key)
+            .collect();
+        assert!(!expected.is_empty(), "the stream must report");
+        let reported: Vec<u64> = got.iter().map(|r| r.key).collect();
+        assert_eq!(
+            reported, expected,
+            "recovered output must equal the serial reference minus the lost slab"
+        );
     }
 
     /// ShedFair's frequency sketch: a key hammered well past its fair

@@ -19,9 +19,11 @@
 
 use qf_pipeline::{
     shard_of, BackpressurePolicy, IngestOutcome, Pipeline, PipelineConfig, ReportEvent,
+    SupervisorConfig,
 };
 use quantile_filter::{Criteria, QuantileFilter, QuantileFilterBuilder};
 use rand::{Rng, SeedableRng, SmallRng};
+use std::time::{Duration, Instant};
 
 #[cfg(miri)]
 const N_ITEMS: usize = 2_000;
@@ -388,6 +390,145 @@ fn snapshot_under_load_restores_byte_identically() {
             serial_reference(&cfg, &items),
             "full-stream divergence (shards={shards})"
         );
+    }
+}
+
+/// A report must not wait for its slab to fill: with one shard, a
+/// 256-item slab and fewer than 256 items ingested, polling alone hands
+/// the partial slab to the idle worker, so every report of the serial
+/// reference arrives and nothing stays buffered — unsupervised and
+/// supervised alike.
+#[test]
+fn report_arrives_before_its_slab_fills() {
+    let mut cfg = config(1, 64, BackpressurePolicy::Block);
+    cfg.slab_capacity = 256;
+    let mut items: Vec<(u64, f64)> = (0..60u64).map(|i| (i % 16, 5.0)).collect();
+    items.extend((0..20).map(|_| (1_000u64, 500.0)));
+    assert!(items.len() < cfg.slab_capacity);
+    let expected = serial_reference(&cfg, &items);
+    assert!(
+        expected[0].contains(&1_000),
+        "the hot key must be outstanding in the serial reference"
+    );
+    for supervised in [false, true] {
+        let launched = if supervised {
+            Pipeline::launch_supervised(cfg, SupervisorConfig::default())
+        } else {
+            Pipeline::launch(cfg)
+        };
+        let mut pipe = match launched {
+            Ok(p) => p,
+            Err(e) => panic!("launch (supervised={supervised}): {e}"),
+        };
+        for &(key, value) in &items {
+            match pipe.ingest(key, value) {
+                Ok(IngestOutcome::Enqueued) => {}
+                other => panic!("ingest (supervised={supervised}): {other:?}"),
+            }
+        }
+        assert_eq!(pipe.buffered_len(0), items.len(), "slab flushed early");
+        let mut got = Vec::new();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while got.len() < expected[0].len() {
+            assert!(
+                Instant::now() < deadline,
+                "reports never arrived while polling (supervised={supervised}, got {} of {})",
+                got.len(),
+                expected[0].len()
+            );
+            got.extend(pipe.poll_reports());
+            std::thread::yield_now();
+        }
+        assert_eq!(
+            per_shard_sequences(1, &got),
+            expected,
+            "supervised={supervised}"
+        );
+        assert_eq!(pipe.buffered_len(0), 0, "supervised={supervised}");
+        let summary = match pipe.shutdown() {
+            Ok(s) => s,
+            Err(e) => panic!("shutdown (supervised={supervised}): {e}"),
+        };
+        assert!(summary.reports.is_empty(), "supervised={supervised}");
+        assert_eq!(summary.processed, items.len() as u64);
+        assert_eq!(summary.enqueued, summary.processed + summary.shed);
+    }
+}
+
+/// Polling after every ingest hands the workers slabs as small as one
+/// item. Under every policy the result must stay exact: with a queue too
+/// deep to fill, nothing is dropped or shed and each shard's report
+/// sequence is the serial reference's; with a two-slot queue both
+/// conservation laws hold, `Block` drops nothing, and whenever no slab
+/// was shed the sequences equal the serial reference over the admitted
+/// items (the incoming-item drops are known to the router).
+#[test]
+fn polling_after_every_ingest_stays_exact_under_every_policy() {
+    let n = if cfg!(miri) { 600 } else { N_ITEMS };
+    let items = workload(23, n);
+    // A partial slab is pushed only onto an empty queue, so the queue
+    // holds at most one partial slab plus full ones: this depth can
+    // never fill.
+    let roomy = n / slab_capacity() + 2;
+    for policy in [
+        BackpressurePolicy::Block,
+        BackpressurePolicy::DropNewest,
+        BackpressurePolicy::DropOldest,
+        BackpressurePolicy::ShedFair,
+    ] {
+        for shards in shard_counts() {
+            for queue_capacity in [roomy, 2] {
+                let cfg = config(shards, queue_capacity, policy);
+                let context = format!("{policy:?} shards={shards} queue={queue_capacity}");
+                let mut pipe = match Pipeline::launch(cfg) {
+                    Ok(p) => p,
+                    Err(e) => panic!("launch ({context}): {e}"),
+                };
+                let mut admitted = Vec::with_capacity(items.len());
+                let mut got = Vec::new();
+                for &(key, value) in &items {
+                    match pipe.ingest(key, value) {
+                        Ok(IngestOutcome::Enqueued) => admitted.push((key, value)),
+                        Ok(IngestOutcome::Dropped) => {}
+                        other => panic!("ingest ({context}): {other:?}"),
+                    }
+                    got.extend(pipe.poll_reports());
+                }
+                let summary = match pipe.shutdown() {
+                    Ok(s) => s,
+                    Err(e) => panic!("shutdown ({context}): {e}"),
+                };
+                got.extend(summary.reports.iter().copied());
+                assert_eq!(summary.enqueued, admitted.len() as u64, "{context}");
+                assert_eq!(
+                    summary.offered,
+                    summary.enqueued + summary.dropped + summary.rejected,
+                    "router conservation broke ({context})"
+                );
+                assert_eq!(
+                    summary.enqueued,
+                    summary.processed + summary.shed,
+                    "worker conservation broke ({context})"
+                );
+                for (shard, s) in summary.per_shard.iter().enumerate() {
+                    assert_eq!(
+                        s.enqueued,
+                        s.processed + s.shed,
+                        "shard {shard} conservation broke ({context})"
+                    );
+                }
+                if policy == BackpressurePolicy::Block || queue_capacity == roomy {
+                    assert_eq!(summary.dropped + summary.shed, 0, "{context}");
+                }
+                if summary.shed == 0 {
+                    assert_eq!(
+                        per_shard_sequences(shards, &got),
+                        serial_reference(&cfg, &admitted),
+                        "{context}"
+                    );
+                }
+            }
+        }
     }
 }
 

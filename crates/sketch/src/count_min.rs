@@ -159,40 +159,29 @@ impl<C: SketchCounter> SketchState for CountMinSketch<C> {
     }
 }
 
-impl<C: SketchCounter> WeightSketch for CountMinSketch<C> {
-    #[inline]
-    fn add<K: StreamKey + ?Sized>(&mut self, key: &K, delta: i64) {
+impl<C: SketchCounter> CountMinSketch<C> {
+    /// `add` by per-row key hashing — the path of families deeper than
+    /// [`qf_hash::MAX_LANES`], which capture no lanes.
+    fn add_hashed<K: StreamKey + ?Sized>(&mut self, key: &K, delta: i64) {
         for row in 0..self.rows {
             let col = self.family.column(row, key);
-            let cell = &mut self.cells[row * self.width + col];
-            #[cfg(feature = "telemetry")]
-            let before = cell.to_i64();
-            *cell = cell.saturating_add_i64(delta);
-            // Same saturation accounting as the Count sketch's add path.
-            #[cfg(feature = "telemetry")]
-            if before.checked_add(delta) != Some(cell.to_i64()) {
-                crate::telemetry::saturation_event();
-                crate::trace::saturation(row, col);
-            }
+            self.bump_cell(row, col, delta);
         }
     }
 
-    #[inline]
-    fn estimate<K: StreamKey + ?Sized>(&self, key: &K) -> i64 {
+    /// `estimate` by per-row key hashing (lane-less families).
+    fn estimate_hashed<K: StreamKey + ?Sized>(&self, key: &K) -> i64 {
         let mut min = i64::MAX;
         for row in 0..self.rows {
             let col = self.family.column(row, key);
-            let v = self.cells[row * self.width + col].to_i64();
-            if v < min {
-                min = v;
-            }
+            min = min.min(self.cells[row * self.width + col].to_i64());
         }
         min
     }
 
-    #[inline]
-    fn remove_estimate<K: StreamKey + ?Sized>(&mut self, key: &K) -> i64 {
-        let est = self.estimate(key);
+    /// `remove_estimate` by per-row key hashing (lane-less families).
+    fn remove_estimate_hashed<K: StreamKey + ?Sized>(&mut self, key: &K) -> i64 {
+        let est = self.estimate_hashed(key);
         if est != 0 {
             for row in 0..self.rows {
                 let col = self.family.column(row, key);
@@ -201,6 +190,50 @@ impl<C: SketchCounter> WeightSketch for CountMinSketch<C> {
             }
         }
         est
+    }
+
+    /// The minimum over rows read through precomputed lanes; `lanes`
+    /// must cover every row.
+    #[inline]
+    fn estimate_lanes(&self, lanes: &RowLanes) -> i64 {
+        let read = |row: usize| self.cells[row * self.width + lanes.col(row)].to_i64();
+        if self.rows == 3 {
+            return read(0).min(read(1)).min(read(2));
+        }
+        (0..self.rows).map(read).fold(i64::MAX, i64::min)
+    }
+}
+
+impl<C: SketchCounter> WeightSketch for CountMinSketch<C> {
+    // Same lane routing as the Count sketch: each row is hashed once.
+    #[inline]
+    fn add<K: StreamKey + ?Sized>(&mut self, key: &K, delta: i64) {
+        let lanes = self.family.lanes(key);
+        if lanes.len() != self.rows {
+            return self.add_hashed(key, delta);
+        }
+        for row in 0..self.rows {
+            self.bump_cell(row, lanes.col(row), delta);
+        }
+    }
+
+    #[inline]
+    fn estimate<K: StreamKey + ?Sized>(&self, key: &K) -> i64 {
+        let lanes = self.family.lanes(key);
+        if lanes.len() != self.rows {
+            return self.estimate_hashed(key);
+        }
+        self.estimate_lanes(&lanes)
+    }
+
+    #[inline]
+    fn remove_estimate<K: StreamKey + ?Sized>(&mut self, key: &K) -> i64 {
+        let lanes = self.family.lanes(key);
+        if lanes.len() != self.rows {
+            return self.remove_estimate_hashed(key);
+        }
+        let est = self.estimate_lanes(&lanes);
+        self.fetch_remove(key, &lanes, est)
     }
 
     #[inline]
@@ -400,6 +433,56 @@ impl<C: SketchCounter> WeightSketch for CountMinSketch<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One twin step: the same update (and read or removal) through the
+    /// lane-routed operations on `routed` and per-row hashing on `hashed`.
+    fn twin_step<K: StreamKey + ?Sized>(
+        routed: &mut CountMinSketch<i8>,
+        hashed: &mut CountMinSketch<i8>,
+        key: &K,
+        delta: i64,
+        remove: bool,
+    ) -> (i64, i64) {
+        routed.add(key, delta);
+        hashed.add_hashed(key, delta);
+        if remove {
+            (
+                routed.remove_estimate(key),
+                hashed.remove_estimate_hashed(key),
+            )
+        } else {
+            (routed.estimate(key), hashed.estimate_hashed(key))
+        }
+    }
+
+    /// Lane-routed `add`/`estimate`/`remove_estimate` against per-row key
+    /// hashing on an identically-seeded twin: same estimates and cells at
+    /// depths on both sides of the lane ceiling, for fixed-width keys
+    /// (which lanes reach through the prehash) and byte keys (which they
+    /// hash per row). Narrow cells keep saturation in play.
+    #[test]
+    fn lane_routed_ops_match_per_row_hashing() {
+        for rows in [1, 3, 5, qf_hash::MAX_LANES + 2] {
+            let mut routed = CountMinSketch::<i8>::new(rows, 32, 41);
+            let mut hashed = CountMinSketch::<i8>::new(rows, 32, 41);
+            for step in 0u64..3_000 {
+                let delta = (step as i64 % 9) - 4;
+                let remove = step % 7 < 2;
+                let (got, want) = if step % 2 == 0 {
+                    twin_step(&mut routed, &mut hashed, &(step % 53), delta, remove)
+                } else {
+                    let bytes = (step % 47).to_le_bytes();
+                    twin_step(&mut routed, &mut hashed, &bytes[..], delta, remove)
+                };
+                assert_eq!(got, want, "CMS rows {rows} step {step}");
+                assert_eq!(
+                    routed.raw_cells(),
+                    hashed.raw_cells(),
+                    "CMS rows {rows} step {step}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn lone_key_exact() {

@@ -232,28 +232,18 @@ impl<C: SketchCounter> SketchState for CountSketch<C> {
     }
 }
 
-impl<C: SketchCounter> WeightSketch for CountSketch<C> {
-    #[inline]
-    fn add<K: StreamKey + ?Sized>(&mut self, key: &K, delta: i64) {
+impl<C: SketchCounter> CountSketch<C> {
+    /// `add` by per-row key hashing — the path of families deeper than
+    /// [`qf_hash::MAX_LANES`], which capture no lanes.
+    fn add_hashed<K: StreamKey + ?Sized>(&mut self, key: &K, delta: i64) {
         for row in 0..self.rows {
             let (col, sign) = self.family.column_and_sign(row, key);
-            let cell = self.cell_mut(row, col);
-            let w = sign * delta;
-            #[cfg(feature = "telemetry")]
-            let before = cell.to_i64();
-            *cell = cell.saturating_add_i64(w);
-            // A cell that clamped instead of absorbing the full delta is a
-            // saturation event (§III-B's overflow-reversal guard engaging).
-            #[cfg(feature = "telemetry")]
-            if before.checked_add(w) != Some(cell.to_i64()) {
-                crate::telemetry::saturation_event();
-                crate::trace::saturation(row, col);
-            }
+            self.bump_cell(row, col, sign * delta);
         }
     }
 
-    #[inline]
-    fn estimate<K: StreamKey + ?Sized>(&self, key: &K) -> i64 {
+    /// `estimate` by per-row key hashing (lane-less families).
+    fn estimate_hashed<K: StreamKey + ?Sized>(&self, key: &K) -> i64 {
         let mut buf = [0i64; MAX_DEPTH];
         for (row, slot) in buf.iter_mut().enumerate().take(self.rows) {
             let (col, sign) = self.family.column_and_sign(row, key);
@@ -262,9 +252,9 @@ impl<C: SketchCounter> WeightSketch for CountSketch<C> {
         median_in_place(&mut buf[..self.rows])
     }
 
-    #[inline]
-    fn remove_estimate<K: StreamKey + ?Sized>(&mut self, key: &K) -> i64 {
-        let est = self.estimate(key);
+    /// `remove_estimate` by per-row key hashing (lane-less families).
+    fn remove_estimate_hashed<K: StreamKey + ?Sized>(&mut self, key: &K) -> i64 {
+        let est = self.estimate_hashed(key);
         if est != 0 {
             for row in 0..self.rows {
                 let (col, sign) = self.family.column_and_sign(row, key);
@@ -273,6 +263,58 @@ impl<C: SketchCounter> WeightSketch for CountSketch<C> {
             }
         }
         est
+    }
+
+    /// The median estimate read through precomputed lanes; `lanes` must
+    /// cover every row.
+    #[inline]
+    fn estimate_lanes(&self, lanes: &RowLanes) -> i64 {
+        let read = |row: usize| lanes.sign(row) * self.cell(row, lanes.col(row)).to_i64();
+        if self.rows == 3 {
+            return crate::traits::median3(read(0), read(1), read(2));
+        }
+        let mut buf = [0i64; qf_hash::MAX_LANES];
+        for (row, slot) in buf.iter_mut().enumerate().take(self.rows) {
+            *slot = read(row);
+        }
+        median_in_place(&mut buf[..self.rows])
+    }
+}
+
+impl<C: SketchCounter> WeightSketch for CountSketch<C> {
+    // The key-taking operations hash each row once, through the lanes
+    // (one prehash plus one mix round per row for fixed-width keys, by
+    // the prehash contract bit-identical to per-row key hashing at two
+    // rounds per row); lane-less families keep per-row hashing.
+    #[inline]
+    fn add<K: StreamKey + ?Sized>(&mut self, key: &K, delta: i64) {
+        let lanes = self.family.lanes(key);
+        if lanes.len() != self.rows {
+            return self.add_hashed(key, delta);
+        }
+        for row in 0..self.rows {
+            let sign = lanes.sign(row);
+            self.bump_cell(row, lanes.col(row), sign * delta);
+        }
+    }
+
+    #[inline]
+    fn estimate<K: StreamKey + ?Sized>(&self, key: &K) -> i64 {
+        let lanes = self.family.lanes(key);
+        if lanes.len() != self.rows {
+            return self.estimate_hashed(key);
+        }
+        self.estimate_lanes(&lanes)
+    }
+
+    #[inline]
+    fn remove_estimate<K: StreamKey + ?Sized>(&mut self, key: &K) -> i64 {
+        let lanes = self.family.lanes(key);
+        if lanes.len() != self.rows {
+            return self.remove_estimate_hashed(key);
+        }
+        let est = self.estimate_lanes(&lanes);
+        self.fetch_remove(key, &lanes, est)
     }
 
     #[inline]
@@ -498,6 +540,56 @@ impl<C: SketchCounter> WeightSketch for CountSketch<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One twin step: the same update (and read or removal) through the
+    /// lane-routed operations on `routed` and per-row hashing on `hashed`.
+    fn twin_step<K: StreamKey + ?Sized>(
+        routed: &mut CountSketch<i8>,
+        hashed: &mut CountSketch<i8>,
+        key: &K,
+        delta: i64,
+        remove: bool,
+    ) -> (i64, i64) {
+        routed.add(key, delta);
+        hashed.add_hashed(key, delta);
+        if remove {
+            (
+                routed.remove_estimate(key),
+                hashed.remove_estimate_hashed(key),
+            )
+        } else {
+            (routed.estimate(key), hashed.estimate_hashed(key))
+        }
+    }
+
+    /// Lane-routed `add`/`estimate`/`remove_estimate` against per-row key
+    /// hashing on an identically-seeded twin: same estimates and cells at
+    /// depths on both sides of the lane ceiling, for fixed-width keys
+    /// (which lanes reach through the prehash) and byte keys (which they
+    /// hash per row). Narrow cells keep saturation in play.
+    #[test]
+    fn lane_routed_ops_match_per_row_hashing() {
+        for rows in [1, 3, 5, qf_hash::MAX_LANES + 2] {
+            let mut routed = CountSketch::<i8>::new(rows, 32, 41);
+            let mut hashed = CountSketch::<i8>::new(rows, 32, 41);
+            for step in 0u64..3_000 {
+                let delta = (step as i64 % 9) - 4;
+                let remove = step % 7 < 2;
+                let (got, want) = if step % 2 == 0 {
+                    twin_step(&mut routed, &mut hashed, &(step % 53), delta, remove)
+                } else {
+                    let bytes = (step % 47).to_le_bytes();
+                    twin_step(&mut routed, &mut hashed, &bytes[..], delta, remove)
+                };
+                assert_eq!(got, want, "CS rows {rows} step {step}");
+                assert_eq!(
+                    routed.raw_cells(),
+                    hashed.raw_cells(),
+                    "CS rows {rows} step {step}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn single_key_exact_when_alone() {

@@ -28,6 +28,9 @@
 //!    precomputation falls back to per-call hashing.
 //! 6. **Interleaved deletes**: turnstile traffic between batches must
 //!    leave the twins in identical state.
+//! 7. **Short slices on vague-heavy streams**: 1-, 2- and 63-item calls,
+//!    the slices a lightly loaded pipeline worker drains, on both sides
+//!    of the lane pass's minimum chunk.
 
 use proptest::prelude::*;
 use proptest::{prop_assert_eq, proptest};
@@ -202,6 +205,41 @@ fn chunk_boundary_lengths_replay_identically() {
         let got = batch_reports(&mut batched, &items, items.len());
         assert_eq!(got, want, "batch length {len} diverges from scalar");
         assert_twins_agree(&scalar, &batched, 40, "boundary length");
+    }
+}
+
+#[test]
+fn short_slices_replay_identically_on_vague_heavy_streams() {
+    // A lightly loaded pipeline worker drains slices of a few items. Past
+    // the vague-heavy gate (more than 4096 items seen, a third of them in
+    // the vague part), slices of 1, 2 and 63 items (below and above the
+    // lane pass's minimum chunk) and a cycle mixing them must replay
+    // exactly like scalar insert.
+    let c = criteria(5.0, 0.6, 100.0);
+    let items = trace(0x5_11CE, 12_000, 2_000, 60);
+    let mut scalar = build(c, 0x99);
+    let want = scalar_reports(&mut scalar, &items);
+    let s = scalar.stats();
+    let seen = s.candidate_hits + s.candidate_inserts + s.vague_visits;
+    assert!(
+        seen > 4096 && s.vague_visits * 3 > seen,
+        "trace never turns vague-heavy: {s:?}"
+    );
+    assert!(!want.is_empty(), "trace produced no reports");
+    for sizes in [&[1usize][..], &[2], &[63], &[1, 2, 63]] {
+        let mut batched = build(c, 0x99);
+        let mut got = Vec::new();
+        let mut base = 0;
+        for &len in sizes.iter().cycle() {
+            if base == items.len() {
+                break;
+            }
+            let end = (base + len).min(items.len());
+            batched.insert_batch(&items[base..end], &mut |i, r| got.push((base + i, r)));
+            base = end;
+        }
+        assert_eq!(got, want, "slices {sizes:?} diverge from scalar");
+        assert_twins_agree(&scalar, &batched, 2_000, "short slices");
     }
 }
 
