@@ -99,6 +99,126 @@ pub enum OfferOutcome {
     },
 }
 
+/// The candidate part's pure hash stage: the bucket hash `h_b` and the
+/// fingerprint hash `h_fp`, as one small value that any thread can hold.
+///
+/// Hashing an item needs nothing but this value, so a router thread can
+/// compute an item's coordinates ([`Self::hash`]) while the thread that
+/// owns the filter only applies them
+/// ([`crate::QuantileFilter::insert_hashed`]). Two hashers compare equal
+/// exactly when they map every key to the same coordinates: same bucket
+/// count, same bucket seed, same fingerprint seed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ItemHasher {
+    bucket_hash: RowHasher,
+    fp_seed: u64,
+}
+
+impl ItemHasher {
+    /// The bucket index a key hashes to (`h_b(x)`).
+    #[inline(always)]
+    pub fn bucket_of<K: StreamKey + ?Sized>(&self, key: &K) -> usize {
+        self.bucket_hash.index(key)
+    }
+
+    /// The key's candidate fingerprint (`h_fp(x)`).
+    #[inline(always)]
+    pub fn fingerprint_of<K: StreamKey + ?Sized>(&self, key: &K) -> u16 {
+        fingerprint16(key, self.fp_seed)
+    }
+
+    /// Both candidate coordinates, `h_b(x)` and `h_fp(x)`. Fixed-width
+    /// keys route through their seed-independent prehash digest, sharing
+    /// one mix round between the two hashes (bit-identically — see
+    /// [`StreamKey::prehash`]).
+    #[inline(always)]
+    pub fn coords_of<K: StreamKey + ?Sized>(&self, key: &K) -> HashedKey {
+        if let Some(p) = key.prehash() {
+            return self.coords_of_prehashed(p);
+        }
+        HashedKey {
+            bucket: self.bucket_of(key),
+            fp: self.fingerprint_of(key),
+        }
+    }
+
+    /// [`Self::coords_of`] from a key's [`StreamKey::prehash`] digest —
+    /// bit-identical for the key that produced it.
+    #[inline(always)]
+    pub fn coords_of_prehashed(&self, prehash: u64) -> HashedKey {
+        HashedKey {
+            bucket: self.bucket_hash.index_prehashed(prehash),
+            fp: fingerprint16_prehashed(prehash, self.fp_seed),
+        }
+    }
+
+    /// Hash one item into a record for
+    /// [`crate::QuantileFilter::insert_hashed`]. Pure: no filter state is
+    /// read or written, and a non-finite value is carried as it is (the
+    /// apply stage drops it exactly as `insert` does).
+    #[inline(always)]
+    pub fn hash(&self, key: u64, value: f64) -> HashedItem {
+        let HashedKey { bucket, fp } = self.coords_of(&key);
+        HashedItem {
+            key,
+            value,
+            coords: (bucket as u64) << 16 | u64::from(fp),
+        }
+    }
+}
+
+/// One item with its candidate coordinates as [`ItemHasher::hash`]
+/// produced them: key, value and `h_b(x) << 16 | h_fp(x)`, in 24 bytes
+/// (`h_b` fits in the upper 48 bits: no part with 2⁴⁸ buckets can be
+/// allocated). [`Self::unhashed`] builds one without coordinates, for a
+/// producer that leaves the hashing to the applying filter.
+/// [`crate::QuantileFilter::insert_hashed`] must be told which hasher
+/// made the records (`None` for unhashed ones); nothing in a record
+/// names it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HashedItem {
+    key: u64,
+    value: f64,
+    coords: u64,
+}
+
+const _: () = assert!(core::mem::size_of::<HashedItem>() == 24);
+
+impl HashedItem {
+    /// A record without coordinates: the filter that applies it hashes
+    /// the key itself (pass `None` as the hasher to
+    /// [`crate::QuantileFilter::insert_hashed`]).
+    #[inline(always)]
+    pub fn unhashed(key: u64, value: f64) -> Self {
+        HashedItem {
+            key,
+            value,
+            coords: 0,
+        }
+    }
+
+    /// The item's key.
+    #[inline(always)]
+    pub fn key(&self) -> u64 {
+        self.key
+    }
+
+    /// The item's value.
+    #[inline(always)]
+    pub fn value(&self) -> f64 {
+        self.value
+    }
+
+    /// The candidate coordinates the hasher computed.
+    #[inline(always)]
+    pub(crate) fn coords(&self) -> HashedKey {
+        HashedKey {
+            bucket: (self.coords >> 16) as usize,
+            fp: self.coords as u16,
+        }
+    }
+}
+
 /// The candidate array, in structure-of-arrays layout (see module docs).
 #[derive(Debug, Clone)]
 pub struct CandidatePart {
@@ -113,8 +233,7 @@ pub struct CandidatePart {
     bucket_len: usize,
     /// `bucket_len.div_ceil(64)` — words of occupancy per bucket.
     occ_words: usize,
-    bucket_hash: RowHasher,
-    fp_seed: u64,
+    hasher: ItemHasher,
 }
 
 impl CandidatePart {
@@ -137,8 +256,10 @@ impl CandidatePart {
             buckets,
             bucket_len,
             occ_words,
-            bucket_hash,
-            fp_seed: seed ^ 0xF19E_12F1,
+            hasher: ItemHasher {
+                bucket_hash,
+                fp_seed: seed ^ 0xF19E_12F1,
+            },
         })
     }
 
@@ -199,53 +320,38 @@ impl CandidatePart {
         self.occ.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// The part's hash stage, which any thread may run.
+    #[inline(always)]
+    pub fn hasher(&self) -> &ItemHasher {
+        &self.hasher
+    }
+
     /// The bucket index a key hashes to (`h_b(x)`).
     #[inline(always)]
     pub fn bucket_of<K: StreamKey + ?Sized>(&self, key: &K) -> usize {
-        self.bucket_hash.index(key)
+        self.hasher.bucket_of(key)
     }
 
     /// The key's candidate fingerprint (`h_fp(x)`).
     #[inline(always)]
     pub fn fingerprint_of<K: StreamKey + ?Sized>(&self, key: &K) -> u16 {
-        fingerprint16(key, self.fp_seed)
+        self.hasher.fingerprint_of(key)
     }
 
     /// Both candidate coordinates — `h_b(x)` and `h_fp(x)` — captured once
     /// per insert and carried through the whole operation, so neither hash
-    /// is ever recomputed mid-insert. Fixed-width keys route through their
-    /// seed-independent prehash digest, sharing one mix round between the
-    /// bucket and fingerprint hashes (bit-identically — see
-    /// [`StreamKey::prehash`]).
+    /// is ever recomputed mid-insert (see [`ItemHasher::coords_of`]).
     #[inline(always)]
     pub fn coords_of<K: StreamKey + ?Sized>(&self, key: &K) -> HashedKey {
-        if let Some(p) = key.prehash() {
-            return self.coords_of_prehashed(p);
-        }
-        HashedKey {
-            bucket: self.bucket_of(key),
-            fp: self.fingerprint_of(key),
-        }
-    }
-
-    /// [`Self::coords_of`] from a key's [`StreamKey::prehash`] digest —
-    /// bit-identical for the key that produced it.
-    #[inline(always)]
-    pub fn coords_of_prehashed(&self, prehash: u64) -> HashedKey {
-        HashedKey {
-            bucket: self.bucket_hash.index_prehashed(prehash),
-            fp: fingerprint16_prehashed(prehash, self.fp_seed),
-        }
+        self.hasher.coords_of(key)
     }
 
     /// Hint-prefetch a bucket's fingerprint and Qweight lines ahead of
-    /// [`Self::offer`] — used by the batch ingest path, which hashes a whole
-    /// chunk before applying it. Out-of-range buckets are ignored rather
-    /// than prefetched: the chunked pipeline prefetches one item ahead, and
-    /// at the batch tail the "next" coordinates can be one past the live
-    /// range — a hint pointing past the allocation is architecturally
-    /// harmless but is a bounds bug waiting for a non-hint rewrite, so it is
-    /// guarded here.
+    /// [`Self::offer_or_min`] — used by the batch ingest path, which hashes
+    /// a whole chunk before applying it. Out-of-range buckets are ignored
+    /// rather than prefetched: a hint pointing past the allocation is
+    /// architecturally harmless but is a bounds bug waiting for a non-hint
+    /// rewrite, so it is guarded here.
     #[inline(always)]
     pub fn prefetch(&self, bucket: usize) {
         if bucket >= self.buckets {
@@ -650,12 +756,12 @@ impl CandidatePart {
 
     /// The bucket hash's seed, for snapshotting.
     pub fn bucket_seed(&self) -> u64 {
-        self.bucket_hash.seed()
+        self.hasher.bucket_hash.seed()
     }
 
     /// The fingerprint hash seed, for snapshotting.
     pub fn fp_seed(&self) -> u64 {
-        self.fp_seed
+        self.hasher.fp_seed
     }
 
     /// Upper bound on restored slot counts; a corrupted dimension field
@@ -735,8 +841,10 @@ impl CandidatePart {
             buckets,
             bucket_len,
             occ_words,
-            bucket_hash,
-            fp_seed,
+            hasher: ItemHasher {
+                bucket_hash,
+                fp_seed,
+            },
         };
         for i in 0..buckets * bucket_len {
             let occupied = match r.get_u8()? {
@@ -804,12 +912,12 @@ impl qf_sketch::invariants::CheckInvariants for CandidatePart {
                 ),
             ));
         }
-        if self.bucket_hash.range() != self.buckets {
+        if self.hasher.bucket_hash.range() != self.buckets {
             return Err(V::new(
                 S,
                 format!(
                     "bucket hash maps to {} buckets, array has {}",
-                    self.bucket_hash.range(),
+                    self.hasher.bucket_hash.range(),
                     self.buckets
                 ),
             ));
@@ -1156,7 +1264,7 @@ mod tests {
         let p = CandidatePart::new(64, 6, 0xA11CE);
         for k in 0u64..1000 {
             let pre = qf_hash::StreamKey::prehash(&k).expect("u64 keys expose a prehash");
-            assert_eq!(p.coords_of_prehashed(pre), p.coords_of(&k));
+            assert_eq!(p.hasher().coords_of_prehashed(pre), p.coords_of(&k));
             // And coords_of itself equals the split hashes.
             assert_eq!(p.coords_of(&k).bucket, p.bucket_of(&k));
             assert_eq!(p.coords_of(&k).fp, p.fingerprint_of(&k));

@@ -1,26 +1,19 @@
 //! The QuantileFilter (Algorithm 2): candidate part + vague part with
 //! candidate election.
 
-use crate::candidate::{CandidatePart, OfferOutcome};
+use crate::candidate::{CandidatePart, HashedItem, ItemHasher, OfferOutcome};
 use crate::criteria::Criteria;
 use crate::error::QfError;
 use crate::strategy::ElectionStrategy;
 use crate::vague::{VagueKey, VaguePart};
-use qf_hash::{HashedKey, RowLanes, SplitMix64, StreamKey};
+use qf_hash::{HashedKey, SplitMix64, StreamKey};
 use qf_sketch::{CountSketch, StochasticRounder, WeightSketch};
 
-/// Items per chunk of the columnized [`QuantileFilter::insert_batch`]
-/// pipeline. Sized so the chunk's coordinate/delta arrays live in a few
-/// hundred stack bytes and its prefetched bucket lines all fit in L1.
+/// Items per chunk of [`QuantileFilter::insert_batch`]: each chunk is
+/// hashed into a stack array of this many coordinates, then applied. Sized
+/// so the array is a few hundred stack bytes and the prefetched bucket
+/// lines all fit in L1.
 pub const INGEST_CHUNK: usize = 64;
-
-/// Shortest chunk that takes `insert_batch`'s lane pass on vague-heavy
-/// streams. A few items leave no miss latency for the prefetches to
-/// hide, while building the lane array costs more than their own work
-/// (a 1-item call: ~115 ns without the pass, ~200 ns with it, on a
-/// 2-vCPU Xeon) — and small slices are what a lightly loaded pipeline
-/// worker drains.
-const LANE_PASS_MIN_CHUNK: usize = 16;
 
 /// Which part of the structure produced a report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,6 +142,13 @@ impl<S: WeightSketch> QuantileFilter<S> {
         &self.vague
     }
 
+    /// The filter's pure hash stage. Clone it onto another thread to hash
+    /// items there, then apply the records here with
+    /// [`Self::insert_hashed`].
+    pub fn item_hasher(&self) -> &ItemHasher {
+        self.candidate.hasher()
+    }
+
     /// Does an integer Qweight meet the report threshold `ε/(1−δ)`? The
     /// threshold is computed once per insert (or once per batch) and passed
     /// in, so the division behind `report_threshold()` is off the per-check
@@ -173,7 +173,8 @@ impl<S: WeightSketch> QuantileFilter<S> {
         }
         let (threshold, report_at, weight_above) =
             (self.criteria.threshold(), self.report_at, self.weight_above);
-        self.insert_finite(key, value, threshold, report_at, weight_above)
+        let hk = self.candidate.coords_of(key);
+        self.apply_finite(hk, value, threshold, report_at, weight_above)
     }
 
     /// Insert an item under per-item criteria (§III-C first flexibility:
@@ -190,8 +191,9 @@ impl<S: WeightSketch> QuantileFilter<S> {
             crate::telemetry::dropped_non_finite();
             return None;
         }
-        self.insert_finite(
-            key,
+        let hk = self.candidate.coords_of(key);
+        self.apply_finite(
+            hk,
             value,
             criteria.threshold(),
             criteria.report_threshold(),
@@ -213,7 +215,8 @@ impl<S: WeightSketch> QuantileFilter<S> {
         }
         let (threshold, report_at, weight_above) =
             (self.criteria.threshold(), self.report_at, self.weight_above);
-        Ok(self.insert_finite(key, value, threshold, report_at, weight_above))
+        let hk = self.candidate.coords_of(key);
+        Ok(self.apply_finite(hk, value, threshold, report_at, weight_above))
     }
 
     /// Fallible insert under per-item criteria: rejects NaN/±∞ with
@@ -228,8 +231,9 @@ impl<S: WeightSketch> QuantileFilter<S> {
             crate::telemetry::rejected_non_finite();
             return Err(QfError::NonFiniteValue { value });
         }
-        Ok(self.insert_finite(
-            key,
+        let hk = self.candidate.coords_of(key);
+        Ok(self.apply_finite(
+            hk,
             value,
             criteria.threshold(),
             criteria.report_threshold(),
@@ -237,13 +241,16 @@ impl<S: WeightSketch> QuantileFilter<S> {
         ))
     }
 
-    /// The shared finite-value ingest: callers pass the criteria already
-    /// broken into its three hot constants (value threshold, report
-    /// threshold, above-`T` weight) so the default-criteria paths read the
-    /// cached derivations and never divide per item.
-    fn insert_finite<K: StreamKey + ?Sized>(
+    /// The apply stage of one finite item, shared by every ingest path:
+    /// round the item's weight, then run the one-pass core on coordinates
+    /// the caller already hashed. Callers pass the criteria already broken
+    /// into its three hot constants (value threshold, report threshold,
+    /// above-`T` weight) so the default-criteria paths read the cached
+    /// derivations and never divide per item.
+    #[inline(always)]
+    fn apply_finite(
         &mut self,
-        key: &K,
+        hk: HashedKey,
         value: f64,
         value_threshold: f64,
         report_at: f64,
@@ -256,7 +263,6 @@ impl<S: WeightSketch> QuantileFilter<S> {
             -1.0
         };
         let delta = self.rounder.round(raw);
-        let hk = self.candidate.coords_of(key);
         self.offer_hashed(hk, delta, report_at)
     }
 
@@ -270,24 +276,6 @@ impl<S: WeightSketch> QuantileFilter<S> {
     /// bucket-full, so the election never rescans the slots.
     #[inline]
     fn offer_hashed(&mut self, hk: HashedKey, delta: i64, report_at: f64) -> Option<Report> {
-        self.offer_hashed_with(hk, delta, report_at, None)
-    }
-
-    /// [`Self::offer_hashed`] with an optional precomputed set of vague-part
-    /// row lanes for this item's composite key. The batch pipeline passes
-    /// `Some` on vague-heavy streams, where it has already captured (and
-    /// prefetched) the chunk's lanes in pass 1; lane capture is pure — no
-    /// counter reads, no RNG — so precomputing it ahead of item order is
-    /// bit-identical to computing it here. `None` (and the empty-lanes
-    /// fallback) derives the lanes on the spot, exactly as the scalar path
-    /// always has.
-    fn offer_hashed_with(
-        &mut self,
-        hk: HashedKey,
-        delta: i64,
-        report_at: f64,
-        vague_lanes: Option<&RowLanes>,
-    ) -> Option<Report> {
         let HashedKey { bucket, fp } = hk;
         match self.candidate.offer_or_min(bucket, fp, delta) {
             OfferOutcome::Updated { qweight } => {
@@ -326,10 +314,7 @@ impl<S: WeightSketch> QuantileFilter<S> {
                 self.stats.vague_visits += 1;
                 crate::telemetry::bucket_full();
                 let vk = VagueKey::new(bucket, fp);
-                let lanes = match vague_lanes {
-                    Some(l) if !l.is_empty() => *l,
-                    _ => self.vague.prepare_lanes(vk),
-                };
+                let lanes = self.vague.prepare_lanes(vk);
                 let est = self.vague.add_and_estimate(vk, &lanes, delta);
                 if Self::meets(report_at, est) {
                     // Report and reset the key's Qweight in the vague part —
@@ -377,26 +362,11 @@ impl<S: WeightSketch> QuantileFilter<S> {
     ///
     /// Behaviorally identical to calling [`Self::insert`] on each item in
     /// order — same reports, same statistics, same RNG consumption, bit for
-    /// bit — but restructured into a chunked, column-wise pipeline: the
-    /// batch is cut into [`INGEST_CHUNK`]-item chunks, and each chunk
-    /// runs two dense passes. Pass 1 streams the chunk once, hashing every
-    /// key's candidate coordinates (through the shared-prehash fast path),
-    /// classifying each value against `T`, drawing the stochastic rounding
-    /// for every item, and issuing a prefetch for every touched bucket line.
-    /// Pass 2 applies the precomputed `⟨coords, Δ⟩` pairs through the same
-    /// one-pass core the scalar path uses, hitting buckets that are already
-    /// in cache.
-    ///
-    /// Why this is bit-identical: the rounder RNG and the election RNG are
-    /// *separate* streams (`seed ^ 0x5EED_0001` vs `seed ^ 0x5EED_0002`).
-    /// Pass 1 draws the roundings in item order — exactly the sequence the
-    /// scalar path draws — and pass 2 makes the election draws in item
-    /// order, so each stream individually sees the scalar sequence even
-    /// though the two are no longer interleaved in time. The sketch/
-    /// candidate mutations themselves cannot be batched across items (item
-    /// `i`'s report-triggered removal must land before item `i+1`'s bump),
-    /// which is why only the pure stages — hash, classify, round, prefetch —
-    /// are columnized.
+    /// bit. The batch is cut into [`INGEST_CHUNK`]-item chunks; each chunk
+    /// is hashed into a stack array (prefetching every touched bucket
+    /// line), then applied in item order by the same stage scalar `insert`
+    /// runs. Hashing is pure, so running it ahead of the apply stage
+    /// changes nothing.
     ///
     /// Non-finite values are dropped exactly as [`Self::insert`] drops them.
     /// The sink is a callback (not a collection) so this path allocates
@@ -406,79 +376,78 @@ impl<S: WeightSketch> QuantileFilter<S> {
         K: StreamKey,
         F: FnMut(usize, Report),
     {
-        let report_at = self.report_at;
-        let weight_above = self.weight_above;
-        let value_threshold = self.criteria.threshold();
-        let mut coords = [HashedKey { bucket: 0, fp: 0 }; INGEST_CHUNK];
-        let mut deltas = [0i64; INGEST_CHUNK];
-        let mut live = [false; INGEST_CHUNK];
-        // Built by the first chunk that takes the lane pass, if any.
-        let mut vlanes: Option<[RowLanes; INGEST_CHUNK]> = None;
+        let hasher = self.candidate.hasher().clone();
+        self.hash_then_apply(items, |(key, value)| (hasher.coords_of(key), *value), sink);
+    }
+
+    /// Apply records hashed by `hasher` ([`ItemHasher::hash`]), invoking
+    /// `sink(index, report)` for each item that fires a report — the
+    /// stateful half of an insert whose hashing ran elsewhere, typically on
+    /// another thread.
+    ///
+    /// Bit-identical to [`Self::insert`] on each record's key and value in
+    /// order, provided `hasher` is the hasher that made the records, or
+    /// `None` if they were made by [`HashedItem::unhashed`]. A record does
+    /// not name its hasher, so this is the caller's promise: records paired
+    /// with the wrong hasher give wrong results or a panic. `hasher` is
+    /// compared with the filter's own once per call; if they differ (the
+    /// records came from a filter with other seeds or geometry) or it is
+    /// `None`, the coordinates are re-derived from the keys, at the cost of
+    /// hashing here.
+    pub fn insert_hashed<F>(
+        &mut self,
+        hasher: Option<&ItemHasher>,
+        items: &[HashedItem],
+        sink: &mut F,
+    ) where
+        F: FnMut(usize, Report),
+    {
+        if hasher == Some(self.candidate.hasher()) {
+            self.apply(items.iter().map(|it| (it.coords(), it.value())), 0, sink);
+        } else {
+            let own = self.candidate.hasher().clone();
+            self.hash_then_apply(items, |it| (own.coords_of(&it.key()), it.value()), sink);
+        }
+    }
+
+    /// Hash each [`INGEST_CHUNK`]-item chunk of `items` into a stack array
+    /// with `hash`, prefetching the buckets, then [`Self::apply`] it.
+    fn hash_then_apply<T, H, F>(&mut self, items: &[T], hash: H, sink: &mut F)
+    where
+        H: Fn(&T) -> (HashedKey, f64),
+        F: FnMut(usize, Report),
+    {
+        let mut coords = [(HashedKey { bucket: 0, fp: 0 }, 0.0); INGEST_CHUNK];
         let mut base = 0;
         for chunk in items.chunks(INGEST_CHUNK) {
-            // Pass 1: hash + classify + round + prefetch, one memory stream
-            // over the chunk. Rounder draws happen here, in item order.
-            for (j, (key, value)) in chunk.iter().enumerate() {
-                if value.is_finite() {
-                    crate::telemetry::insert();
-                    let hk = self.candidate.coords_of(key);
-                    self.candidate.prefetch(hk.bucket);
-                    let raw = if *value > value_threshold {
-                        weight_above
-                    } else {
-                        -1.0
-                    };
-                    coords[j] = hk;
-                    deltas[j] = self.rounder.round(raw);
-                    live[j] = true;
-                } else {
-                    crate::telemetry::dropped_non_finite();
-                    live[j] = false;
-                }
+            for (slot, item) in coords.iter_mut().zip(chunk) {
+                *slot = hash(item);
+                self.candidate.prefetch(slot.0.bucket);
             }
-            // Pass 1½, taken only on vague-heavy streams (observed path
-            // stats say most items will miss the candidate part) and for
-            // chunks of at least `LANE_PASS_MIN_CHUNK` items: capture
-            // the whole chunk's vague-part row lanes column-wise and
-            // prefetch the sketch cells they address, so pass 2's
-            // add-and-estimate lands on warm counter lines with zero
-            // hashing left to do. Lane capture is pure — no counters read,
-            // no RNG — so hoisting it ahead of item order changes nothing;
-            // the gate itself only chooses between two bit-identical
-            // routes, so adapting it on running stats is safe. Dead
-            // (non-finite) items reuse stale coords here; their lanes are
-            // computed and never consumed.
-            let seen =
-                self.stats.candidate_hits + self.stats.candidate_inserts + self.stats.vague_visits;
-            let vague_heavy = seen > 4096 && self.stats.vague_visits * 3 > seen;
-            let chunk_lanes = if vague_heavy && chunk.len() >= LANE_PASS_MIN_CHUNK {
-                let vlanes = vlanes.get_or_insert_with(|| [RowLanes::empty(); INGEST_CHUNK]);
-                let mut vks = [VagueKey(0); INGEST_CHUNK];
-                for j in 0..chunk.len() {
-                    vks[j] = VagueKey::new(coords[j].bucket, coords[j].fp);
-                }
-                self.vague
-                    .fill_lanes(&vks[..chunk.len()], &mut vlanes[..chunk.len()]);
-                for lanes in &vlanes[..chunk.len()] {
-                    self.vague.prefetch_lanes(lanes);
-                }
-                Some(&vlanes[..chunk.len()])
-            } else {
-                None
-            };
-            // Pass 2: apply in item order against warm bucket lines.
-            // Election draws happen here, in item order.
-            for j in 0..chunk.len() {
-                if live[j] {
-                    let lanes = chunk_lanes.map(|l| &l[j]);
-                    if let Some(report) =
-                        self.offer_hashed_with(coords[j], deltas[j], report_at, lanes)
-                    {
-                        sink(base + j, report);
-                    }
-                }
-            }
+            self.apply(coords[..chunk.len()].iter().copied(), base, sink);
             base += chunk.len();
+        }
+    }
+
+    /// The apply loop over precomputed `(coordinates, value)` pairs, in
+    /// item order under the default criteria; reports go to
+    /// `sink(base + position, report)`.
+    #[inline(always)]
+    fn apply<I, F>(&mut self, items: I, base: usize, sink: &mut F)
+    where
+        I: Iterator<Item = (HashedKey, f64)>,
+        F: FnMut(usize, Report),
+    {
+        let (threshold, report_at, weight_above) =
+            (self.criteria.threshold(), self.report_at, self.weight_above);
+        for (j, (hk, value)) in items.enumerate() {
+            if !value.is_finite() {
+                crate::telemetry::dropped_non_finite();
+                continue;
+            }
+            if let Some(report) = self.apply_finite(hk, value, threshold, report_at, weight_above) {
+                sink(base + j, report);
+            }
         }
     }
 

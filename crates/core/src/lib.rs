@@ -75,6 +75,7 @@ pub mod vague;
 
 pub use algorithm1::QweightSketch;
 pub use builder::QuantileFilterBuilder;
+pub use candidate::{HashedItem, ItemHasher};
 pub use criteria::Criteria;
 pub use epoch::EpochFilter;
 pub use error::{BuilderError, QfError};

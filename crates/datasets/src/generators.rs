@@ -1,10 +1,9 @@
 //! The three workload generators, each a statistical stand-in for one of
 //! the paper's datasets (substitution rationale in DESIGN.md §4).
 //!
-//! Generation is deterministic in the config seed and parallelized with
-//! crossbeam: the item range is split into chunks, each chunk gets an
-//! independent RNG stream derived from `(seed, chunk_index)`, so the output
-//! is identical regardless of thread count.
+//! Each dataset is one RNG stream seeded from the config seed and drawn
+//! on the calling thread, so the output depends on the config alone and
+//! never on the host (core count included).
 
 use crate::config::{CloudConfig, InternetConfig, ZipfConfig};
 use crate::values::{KeyProfile, LatencyModel};
@@ -54,51 +53,6 @@ impl Dataset {
     }
 }
 
-/// Split `n` into chunks and run `f(chunk_index, start, len)` on scoped
-/// threads, concatenating the per-chunk outputs in order.
-fn parallel_chunks<F>(n: usize, threads: usize, f: F) -> Vec<Item>
-where
-    F: Fn(usize, usize, usize) -> Vec<Item> + Sync,
-{
-    let threads = threads.max(1);
-    let chunk = n.div_ceil(threads);
-    let mut outputs: Vec<Vec<Item>> = Vec::with_capacity(threads);
-    let scope_result = crossbeam::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let start = t * chunk;
-            let len = chunk.min(n.saturating_sub(start));
-            if len == 0 {
-                break;
-            }
-            let f = &f;
-            handles.push(scope.spawn(move |_| f(t, start, len)));
-        }
-        for h in handles {
-            match h.join() {
-                Ok(out) => outputs.push(out),
-                // Re-raise a generator thread's panic on the caller.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    if let Err(payload) = scope_result {
-        std::panic::resume_unwind(payload);
-    }
-    let mut items = Vec::with_capacity(n);
-    for o in outputs {
-        items.extend_from_slice(&o);
-    }
-    items
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(16)
-}
-
 /// Precompute key profiles for a bounded key space.
 fn profiles(model: &LatencyModel, keys: u64, seed: u64) -> Vec<KeyProfile> {
     (0..keys).map(|k| model.profile(k, seed)).collect()
@@ -109,16 +63,14 @@ fn profiles(model: &LatencyModel, keys: u64, seed: u64) -> Vec<KeyProfile> {
 pub fn internet_like(cfg: &InternetConfig) -> Dataset {
     let sampler = ZipfSampler::new(cfg.keys, cfg.alpha);
     let profs = profiles(&cfg.model, cfg.keys, cfg.seed);
-    let items = parallel_chunks(cfg.items, default_threads(), |t, _start, len| {
-        let mut rng = SmallRng::seed_from_u64(qf_hash::mix64(cfg.seed ^ (t as u64) << 32));
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
+    let mut rng = SmallRng::seed_from_u64(qf_hash::mix64(cfg.seed));
+    let items = (0..cfg.items)
+        .map(|_| {
             let key = sampler.sample(&mut rng) - 1;
             let value = cfg.model.draw(profs[key as usize], &mut rng);
-            out.push(Item { key, value });
-        }
-        out
-    });
+            Item { key, value }
+        })
+        .collect();
     Dataset::finalize("internet".into(), items, cfg.threshold)
 }
 
@@ -129,10 +81,9 @@ pub fn cloud_like(cfg: &CloudConfig) -> Dataset {
     let core_sampler = ZipfSampler::new(cfg.core_keys, cfg.core_alpha);
     let core_profs = profiles(&cfg.model, cfg.core_keys, cfg.seed);
     let tail_keys = ((cfg.items as f64 * cfg.tail_key_fraction) as u64).max(1);
-    let items = parallel_chunks(cfg.items, default_threads(), |t, _start, len| {
-        let mut rng = SmallRng::seed_from_u64(qf_hash::mix64(cfg.seed ^ (t as u64) << 32 ^ 0xC1));
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
+    let mut rng = SmallRng::seed_from_u64(qf_hash::mix64(cfg.seed ^ 0xC1));
+    let items = (0..cfg.items)
+        .map(|_| {
             let (key, profile) = if rng.gen::<f64>() < cfg.core_fraction {
                 let k = core_sampler.sample(&mut rng) - 1;
                 (k, core_profs[k as usize])
@@ -143,10 +94,9 @@ pub fn cloud_like(cfg: &CloudConfig) -> Dataset {
                 (k, cfg.model.profile(k, cfg.seed))
             };
             let value = cfg.model.draw(profile, &mut rng);
-            out.push(Item { key, value });
-        }
-        out
-    });
+            Item { key, value }
+        })
+        .collect();
     Dataset::finalize("cloud".into(), items, cfg.threshold)
 }
 
@@ -158,20 +108,18 @@ pub fn zipf_dataset(cfg: &ZipfConfig) -> Dataset {
         cfg.value_model.component_ranks,
         cfg.value_model.component_alpha,
     );
-    let items = parallel_chunks(cfg.items, default_threads(), |t, _start, len| {
-        let mut rng = SmallRng::seed_from_u64(qf_hash::mix64(cfg.seed ^ (t as u64) << 32 ^ 0x21));
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
+    let mut rng = SmallRng::seed_from_u64(qf_hash::mix64(cfg.seed ^ 0x21));
+    let items = (0..cfg.items)
+        .map(|_| {
             let key = key_sampler.sample(&mut rng) - 1;
             let component = cfg.value_model.draw_component(&component_sampler, &mut rng);
             let constant = cfg.value_model.key_constant(key, cfg.seed);
-            out.push(Item {
+            Item {
                 key,
                 value: component + constant,
-            });
-        }
-        out
-    });
+            }
+        })
+        .collect();
     Dataset::finalize(format!("zipf-a{}", cfg.alpha), items, cfg.threshold)
 }
 
@@ -249,6 +197,30 @@ mod tests {
             "steeper alpha must concentrate the top key"
         );
     }
+
+    /// Order-sensitive digest of every key and value bit.
+    fn digest(d: &Dataset) -> u64 {
+        d.items.iter().fold(d.items.len() as u64, |h, it| {
+            qf_hash::mix64(qf_hash::mix64(h ^ it.key) ^ it.value.to_bits())
+        })
+    }
+
+    #[test]
+    fn tiny_outputs_are_pinned() {
+        // The single-stream output every committed golden and result was
+        // made with. A change here is a data-spec change: it moves the
+        // observer goldens and every regenerated figure.
+        let got = [
+            digest(&internet_like(&InternetConfig::tiny())),
+            digest(&cloud_like(&CloudConfig::tiny())),
+            digest(&zipf_dataset(&ZipfConfig::tiny())),
+        ];
+        assert_eq!(got, [INTERNET_TINY, CLOUD_TINY, ZIPF_TINY]);
+    }
+
+    const INTERNET_TINY: u64 = 0x275b_27a3_0dea_f468;
+    const CLOUD_TINY: u64 = 0x8dc0_ed81_33dd_8d4e;
+    const ZIPF_TINY: u64 = 0xfc86_7775_041f_e8eb;
 
     #[test]
     fn deterministic_across_runs_zipf() {

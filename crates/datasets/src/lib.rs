@@ -17,9 +17,9 @@
 //!   frequencies Zipf(α); each value is a Zipf-distributed component plus a
 //!   per-key constant drawn from a normal distribution.
 //!
-//! All generation is deterministic in the config seed, parallelized with
-//! crossbeam across chunks, and traces round-trip through a compact binary
-//! format ([`trace`]).
+//! Each dataset is one RNG stream drawn from the config seed, so it is the
+//! same on every host whatever its core count, and traces round-trip
+//! through a compact binary format ([`trace`]).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

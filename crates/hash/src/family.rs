@@ -130,7 +130,7 @@ impl HashFamily {
 
 /// A single seeded hash over `[0, buckets)` — the bucket hash `h_b` of the
 /// candidate part.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowHasher {
     seed: u64,
     range: usize,

@@ -7,8 +7,13 @@
 //! worker threads (each owning a private [`quantile_filter::QuantileFilter`])
 //! connected by bounded, hand-rolled SPSC ring queues that carry
 //! fixed-capacity item *slabs* — one ring slot per slab, so the Lamport
-//! and wake handshakes amortize over `slab_capacity` items and each slab
-//! drains through the fused `insert_batch` hot path. Per-key state
+//! and wake handshakes amortize over `slab_capacity` items. With one or
+//! two shards the router hashes each item with its shard filter's
+//! [`quantile_filter::ItemHasher`] as it fills the slab, so a worker only
+//! applies the records ([`quantile_filter::QuantileFilter::insert_hashed`]),
+//! and the hashing runs on the router's core in parallel; with more, the
+//! router would become the bottleneck, so each worker hashes its own
+//! items. Per-key state
 //! never crosses a shard boundary, so the reported key set is identical
 //! to single-threaded execution over the same per-shard item order — the
 //! equivalence the stress suite pins against `ShardedDetector`.

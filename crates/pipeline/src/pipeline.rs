@@ -10,19 +10,22 @@
 //! ```
 //!
 //! The router ([`Pipeline::ingest`], single-threaded by `&mut self`)
-//! hashes each key to its shard with [`crate::shard_of`] and appends it
-//! to that shard's **slab** — a fixed-capacity chunk buffered in the
-//! router. A slab is flushed into the shard's bounded queue as one ring
-//! slot when it fills (and on quiesce, snapshot, [`Pipeline::flush`],
-//! and shutdown), so the Lamport handshake, the park/wake handshake,
-//! and the drop accounting are paid once per slab instead of once per
-//! item. [`Pipeline::poll_reports`] also hands a partial slab to any
-//! shard whose queue is empty, so at partial load the batch size
-//! follows the load instead of a fixed fill level. Each worker owns its
-//! filter outright — the paper's single-writer deployment model,
-//! preserved per shard — drains each slab through the fused
-//! `insert_batch` hot path, and sends [`Event`]s into one shared mpsc
-//! sink the caller drains with [`Pipeline::poll_reports`].
+//! hashes each key to its shard with [`crate::shard_of`], hashes it again
+//! with the shard filter's `ItemHasher` while there are at most
+//! `ROUTER_HASH_MAX_SHARDS` shards, and appends the record (key, value,
+//! candidate coordinates, if computed) to that shard's **slab** — a
+//! fixed-capacity chunk buffered in the router. A slab is flushed into
+//! the shard's bounded queue as one ring slot when it fills (and on
+//! quiesce, snapshot, [`Pipeline::flush`], and shutdown), so the Lamport
+//! handshake, the park/wake handshake, and the drop accounting are paid
+//! once per slab instead of once per item. [`Pipeline::poll_reports`]
+//! also hands a partial slab to any shard whose queue is empty, so at
+//! partial load the batch size follows the load instead of a fixed fill
+//! level. Each worker owns its filter outright — the paper's
+//! single-writer deployment model, preserved per shard — applies each
+//! slab's records with `QuantileFilter::insert_hashed` (hashing them
+//! first if the router did not), and sends [`Event`]s into one shared mpsc sink the caller drains with
+//! [`Pipeline::poll_reports`].
 //!
 //! ## Supervision (opt-in)
 //!
@@ -81,7 +84,7 @@ use crate::supervisor::{
 use crate::telemetry;
 use crate::worker::{run_supervised, run_worker, Event, Msg, Slab, Supervision, WorkerExit};
 use crate::{shard_of, PipelineError};
-use quantile_filter::{Criteria, QuantileFilter, QuantileFilterBuilder, Report};
+use quantile_filter::{Criteria, ItemHasher, QuantileFilter, QuantileFilterBuilder, Report};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -95,6 +98,24 @@ use std::time::{Duration, Instant};
 /// noticed within a few clock reads, large enough that the clock is not
 /// on the per-push path when the queue has room.
 const PUSH_ROUND_BUDGET: usize = 512;
+
+/// Most shards for which the router hashes each item (its candidate
+/// coordinates, `ItemHasher::hash`) before the worker applies it. The
+/// one router thread serves every shard, so hashing there pays only while
+/// the router stays faster than all workers together. On `pipeline-max`
+/// the traced `pipeline.ingest_ns_p50` is ~12 ns without hashing and
+/// ~21 ns with it (router ceiling ~85 vs ~48 Mops/s), and a worker that
+/// only applies sustains ~22 Mops/s: `shards × 22 < 48` holds up to two
+/// shards. From three on the router would be the bottleneck, so it
+/// passes `HashedItem::unhashed` records and each worker hashes its own.
+const ROUTER_HASH_MAX_SHARDS: usize = 2;
+
+/// The hasher the router hashes a shard's items with: the shard filter's
+/// own while `shards <= ROUTER_HASH_MAX_SHARDS`, else `None` (the worker
+/// hashes).
+fn router_hasher(config: &PipelineConfig, filter: &QuantileFilter) -> Option<ItemHasher> {
+    (config.shards <= ROUTER_HASH_MAX_SHARDS).then(|| filter.item_hasher().clone())
+}
 
 /// What the router does when a shard queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -281,6 +302,11 @@ struct ShardHandle {
     /// slab fills (or a flush point, or a poll finds the queue empty),
     /// then travel as one ring slot.
     buf: Slab,
+    /// The shard filter's hash stage, if the router hashes for this
+    /// pipeline ([`router_hasher`]): each item is hashed with it as it
+    /// fills the slab, so the worker only applies. Taken from the shard's
+    /// filter at launch; recoveries keep the shard's seeds.
+    hasher: Option<ItemHasher>,
     /// Unsupervised only: the worker was observed dead at a flush; all
     /// further items for this shard are rejected without re-probing.
     down: bool,
@@ -491,6 +517,8 @@ impl Pipeline {
         let mut shards = Vec::with_capacity(config.shards);
         for (shard, filter) in filters.into_iter().enumerate() {
             let (producer, consumer) = SpscRing::with_capacity(config.queue_capacity).split();
+            let hasher = router_hasher(&config, &filter);
+            let worker_hasher = hasher.clone();
             let sink = sink.clone();
             let flight = ShardFlight::new(shard);
             let worker_flight = flight.clone();
@@ -502,6 +530,7 @@ impl Pipeline {
                         shard,
                         consumer,
                         filter,
+                        worker_hasher,
                         sink,
                         worker_fairness,
                         worker_flight,
@@ -514,6 +543,7 @@ impl Pipeline {
                 queue: producer,
                 worker: Some(worker),
                 buf: Slab::with_capacity(config.slab_capacity),
+                hasher,
                 down: false,
                 enqueued: 0,
                 dropped: 0,
@@ -580,9 +610,11 @@ impl Pipeline {
         for shard in 0..config.shards {
             let filter = config.build_filter(shard)?;
             memory_bytes += filter.memory_bytes();
+            let hasher = router_hasher(&config, &filter);
             let recovery = Arc::new(ShardRecovery::new(
                 sup.checkpoint_interval,
                 config.slab_capacity,
+                hasher.clone(),
             ));
             let flight = ShardFlight::new(shard);
             let board = Arc::new(ShardBoard::default());
@@ -605,6 +637,7 @@ impl Pipeline {
                 queue: producer,
                 worker: Some(worker),
                 buf: Slab::with_capacity(config.slab_capacity),
+                hasher,
                 down: false,
                 enqueued: 0,
                 dropped: 0,
@@ -825,7 +858,7 @@ impl Pipeline {
         if handle.down {
             return IngestOutcome::ShardDown;
         }
-        handle.buf.push(key, value);
+        handle.buf.push(handle.hasher.as_ref(), key, value);
         if handle.buf.is_full() {
             return self.flush_full_unsupervised(shard, key);
         }
@@ -911,7 +944,7 @@ impl Pipeline {
             return IngestOutcome::ShardDown;
         }
         let handle = &mut self.shards[shard];
-        handle.buf.push(key, value);
+        handle.buf.push(handle.hasher.as_ref(), key, value);
         if handle.buf.is_full() {
             return self.flush_full_supervised(shard, key);
         }

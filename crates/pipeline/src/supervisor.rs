@@ -68,7 +68,7 @@ use crate::telemetry;
 use core::time::Duration;
 use qf_model::sync::atomic::{AtomicU64, Ordering};
 use qf_model::sync::{Mutex, MutexGuard};
-use quantile_filter::QuantileFilter;
+use quantile_filter::{HashedItem, ItemHasher, QuantileFilter};
 use std::collections::VecDeque;
 
 /// Lifecycle state of a supervised shard. See the module docs for the
@@ -279,12 +279,12 @@ pub struct RecoveryRecord {
     pub restart_latency: Duration,
 }
 
-/// One committed slab: its items, moved in from the worker, and the
-/// applied-item sequence of the first of them.
+/// One committed slab: its hashed items, moved in from the worker, and
+/// the applied-item sequence of the first of them.
 #[derive(Debug)]
 struct JournalSlab {
     first_seq: u64,
-    items: Vec<(u64, f64)>,
+    items: Vec<HashedItem>,
 }
 
 impl JournalSlab {
@@ -322,6 +322,9 @@ pub(crate) struct RecoveryInner {
     journal_items: u64,
     /// Bound on `journal_items`.
     journal_cap: u64,
+    /// The hasher the router hashes this shard's items with (`None`: the
+    /// worker hashes); replay applies the journaled records through it.
+    hasher: Option<ItemHasher>,
     slots: [Option<Checkpoint>; 2],
     latest: usize,
     seals: u64,
@@ -347,8 +350,14 @@ impl ShardRecovery {
     /// always absorb a full checkpoint interval plus one in-flight slab
     /// on both sides of the double-buffered prune horizon. The bound
     /// saturates (an interval near `u64::MAX` means "never prune") and
-    /// nothing is allocated until the first commit.
-    pub(crate) fn new(checkpoint_interval: u64, max_slab: usize) -> Self {
+    /// nothing is allocated until the first commit. `hasher` is the one
+    /// the shard's router hashes items with, if any, which every filter
+    /// of the lineage shares (recovery keeps the shard's seeds).
+    pub(crate) fn new(
+        checkpoint_interval: u64,
+        max_slab: usize,
+        hasher: Option<ItemHasher>,
+    ) -> Self {
         let journal_cap = checkpoint_interval
             .saturating_add(max_slab as u64)
             .saturating_mul(2);
@@ -361,6 +370,7 @@ impl ShardRecovery {
                 journal: VecDeque::new(),
                 journal_items: 0,
                 journal_cap,
+                hasher,
                 slots: [None, None],
                 latest: 0,
                 seals: 0,
@@ -378,6 +388,12 @@ impl ShardRecovery {
     /// Current liveness counter (watchdog side).
     pub(crate) fn progress(&self) -> u64 {
         self.progress.load(Ordering::Relaxed)
+    }
+
+    /// The shard's router hasher. Takes the lock, so workers call it
+    /// once per generation, not per slab.
+    pub(crate) fn hasher(&self) -> Option<ItemHasher> {
+        self.lock().hasher.clone()
     }
 
     /// Lock the inner state. Poisoning is tolerated (the shim's `lock`
@@ -406,7 +422,7 @@ pub(crate) struct Recovered {
 impl RecoveryInner {
     /// Journal one applied slab by moving its item buffer in. Called by
     /// the worker inside its slab commit, after the generation check.
-    pub(crate) fn commit_slab(&mut self, mut items: Vec<(u64, f64)>) {
+    pub(crate) fn commit_slab(&mut self, mut items: Vec<HashedItem>) {
         let n = items.len() as u64;
         if n == 0 {
             return;
@@ -529,7 +545,7 @@ impl RecoveryInner {
             // a gap before the slab cannot be bridged.
             let skip = expected.checked_sub(slab.first_seq)? as usize;
             let items = &slab.items[skip..];
-            filter.insert_batch(items, &mut |_, _| {});
+            filter.insert_hashed(self.hasher.as_ref(), items, &mut |_, _| {});
             expected += items.len() as u64;
         }
         if expected != self.applied + 1 {
@@ -578,6 +594,7 @@ impl RecoveryInner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::worker::Slab;
     use quantile_filter::{Criteria, QuantileFilterBuilder};
 
     fn build() -> QuantileFilter {
@@ -595,6 +612,27 @@ mod tests {
         }
     }
 
+    /// A recovery state for `build()`'s filters, whose router hashes.
+    fn recovery(interval: u64, max_slab: usize) -> ShardRecovery {
+        recovery_hashing(interval, max_slab, true)
+    }
+
+    /// A recovery state for `build()`'s filters; `router_hashes` picks
+    /// whether the journaled records carry coordinates.
+    fn recovery_hashing(interval: u64, max_slab: usize, router_hashes: bool) -> ShardRecovery {
+        let hasher = router_hashes.then(|| build().item_hasher().clone());
+        ShardRecovery::new(interval, max_slab, hasher)
+    }
+
+    /// `items` as the router would slab them for `hasher`.
+    fn records(hasher: Option<&ItemHasher>, items: &[(u64, f64)]) -> Vec<HashedItem> {
+        let mut slab = Slab::with_capacity(items.len());
+        for &(k, v) in items {
+            slab.push(hasher, k, v);
+        }
+        slab.into_items()
+    }
+
     /// Apply and commit `items` the way the supervised worker does, one
     /// slab per lock hold, cutting slabs at the lengths in `slabs`
     /// (cycled; a one-element `[1]` commits item by item).
@@ -605,6 +643,7 @@ mod tests {
         interval: u64,
         slabs: &[usize],
     ) {
+        let hasher = rec.hasher();
         let mut rest = items;
         for &len in slabs.iter().cycle() {
             if rest.is_empty() {
@@ -612,9 +651,10 @@ mod tests {
             }
             let (slab, tail) = rest.split_at(len.min(rest.len()));
             rest = tail;
-            filter.insert_batch(slab, &mut |_, _| {});
+            let slab = records(hasher.as_ref(), slab);
+            filter.insert_hashed(hasher.as_ref(), &slab, &mut |_, _| {});
             let mut inner = rec.lock();
-            inner.commit_slab(slab.to_vec());
+            inner.commit_slab(slab);
             if inner.due_seal(interval) {
                 inner.seal_checkpoint(0, filter, None);
             }
@@ -667,7 +707,7 @@ mod tests {
 
     #[test]
     fn recover_equals_uncrashed_filter() {
-        let rec = ShardRecovery::new(16, 16);
+        let rec = recovery(16, 16);
         let mut filter = build();
         let items = workload(300);
         drive(&rec, &mut filter, &items, 16);
@@ -689,7 +729,7 @@ mod tests {
 
     #[test]
     fn recover_before_first_checkpoint_replays_full_journal() {
-        let rec = ShardRecovery::new(1000, 16);
+        let rec = recovery(1000, 16);
         let mut filter = build();
         let items = workload(50);
         drive(&rec, &mut filter, &items, 1000);
@@ -706,7 +746,7 @@ mod tests {
 
     #[test]
     fn corrupt_newest_checkpoint_falls_back_to_older() {
-        let rec = ShardRecovery::new(16, 16);
+        let rec = recovery(16, 16);
         let mut filter = build();
         drive(&rec, &mut filter, &workload(200), 16);
         let mut inner = rec.lock();
@@ -735,7 +775,7 @@ mod tests {
 
     #[test]
     fn both_checkpoints_corrupt_degrades_to_state_loss() {
-        let rec = ShardRecovery::new(16, 16);
+        let rec = recovery(16, 16);
         let mut filter = build();
         drive(&rec, &mut filter, &workload(200), 16);
         let mut inner = rec.lock();
@@ -751,7 +791,8 @@ mod tests {
         assert_eq!(recovered.recovered_seq, 0);
         assert_eq!(inner.applied, 0);
         // The lineage restarts cleanly: new commits journal from seq 1.
-        inner.commit_slab(vec![(1, 1.0), (2, 2.0)]);
+        let slab = records(inner.hasher.as_ref(), &[(1, 1.0), (2, 2.0)]);
+        inner.commit_slab(slab);
         assert_eq!(inner.applied, 2);
         inner.assert_journal_invariants();
     }
@@ -762,7 +803,7 @@ mod tests {
         // `interval + slab` sum: the bound saturates instead of wrapping
         // to a tiny cap, and nothing is reserved up front.
         for interval in [1u64 << 40, u64::MAX] {
-            let rec = ShardRecovery::new(interval, 256);
+            let rec = recovery(interval, 256);
             let mut filter = build();
             let items = workload(700);
             drive_slabs(&rec, &mut filter, &items, interval, &[256, 3, 64]);
@@ -781,10 +822,10 @@ mod tests {
 
     #[test]
     fn sparse_slabs_do_not_pin_their_capacity() {
-        let rec = ShardRecovery::new(1000, 256);
-        let mut inner = rec.lock();
+        let rec = recovery(1000, 256);
         let mut slab = Vec::with_capacity(256);
-        slab.push((1u64, 1.0));
+        slab.extend(records(rec.hasher().as_ref(), &[(1, 1.0)]));
+        let mut inner = rec.lock();
         inner.commit_slab(slab);
         inner.commit_slab(Vec::new());
         assert_eq!(inner.journal.len(), 1, "empty slabs are not journaled");
@@ -845,7 +886,8 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(PROPTEST_CASES))]
 
         /// The recovery-equivalence property: for ANY crash point, ANY
-        /// checkpoint interval, ANY workload, and ANY corruption mode,
+        /// checkpoint interval, ANY workload, ANY corruption mode, and
+        /// journaled records with or without router-computed coordinates,
         /// `restore(checkpoint) + replay(journal)` rebuilds a filter
         /// byte-identical to an uncrashed run over the same prefix — or,
         /// when corruption forces `StateLoss`, says so honestly with
@@ -856,10 +898,11 @@ mod tests {
             interval in 1u64..40,
             corrupt_mode in 0u8..3,
             slabs in proptest::collection::vec(1usize..=64, 1..8),
+            hash_mode in 0u8..2,
         ) {
             let crash_at = raw.len();
             let max_slab = slabs.iter().copied().max().unwrap_or(1);
-            let rec = ShardRecovery::new(interval, max_slab);
+            let rec = recovery_hashing(interval, max_slab, hash_mode == 1);
             let mut live = build();
             drive_slabs(&rec, &mut live, &raw, interval, &slabs);
             let mut inner = rec.lock();
@@ -924,6 +967,7 @@ mod tests {
     #[cfg(qf_model)]
     mod fencing {
         use super::super::ShardRecovery;
+        use super::build;
         use qf_model::sync::thread;
         use qf_model::{try_model, Checker};
         use std::sync::Arc;
@@ -934,9 +978,11 @@ mod tests {
         /// the generation check — the snapshot is final either way.
         #[test]
         fn stale_commit_after_fence_is_side_effect_free() {
+            let hasher = build().item_hasher().clone();
+            let item = hasher.hash(1, 1.0);
             let stats = Checker::new()
-                .check(|| {
-                    let rec = Arc::new(ShardRecovery::new(8, 4));
+                .check(move || {
+                    let rec = Arc::new(ShardRecovery::new(8, 4, Some(hasher.clone())));
                     let worker = {
                         let rec = Arc::clone(&rec);
                         // Worker of generation 0: the real commit shape —
@@ -945,7 +991,7 @@ mod tests {
                         thread::spawn(move || {
                             let mut inner = rec.lock();
                             if inner.generation == 0 {
-                                inner.commit_slab(vec![(1, 1.0)]);
+                                inner.commit_slab(vec![item]);
                             }
                         })
                     };
@@ -974,8 +1020,10 @@ mod tests {
         /// commit goes through — the checker must catch it.
         #[test]
         fn seeded_check_outside_lock_caught() {
-            let v = try_model(|| {
-                let rec = Arc::new(ShardRecovery::new(8, 4));
+            let hasher = build().item_hasher().clone();
+            let item = hasher.hash(1, 1.0);
+            let v = try_model(move || {
+                let rec = Arc::new(ShardRecovery::new(8, 4, Some(hasher.clone())));
                 let worker = {
                     let rec = Arc::clone(&rec);
                     thread::spawn(move || {
@@ -983,7 +1031,7 @@ mod tests {
                         // hold, commit under another.
                         let gen_then = rec.lock().generation;
                         if gen_then == 0 {
-                            rec.lock().commit_slab(vec![(1, 1.0)]);
+                            rec.lock().commit_slab(vec![item]);
                         }
                     })
                 };

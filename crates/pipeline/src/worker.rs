@@ -1,6 +1,6 @@
-//! The per-shard worker: pops slabs off its SPSC queue, drains each one
-//! through its privately-owned `QuantileFilter`'s fused batch path, and
-//! forwards reports to the sink.
+//! The per-shard worker: pops slabs off its SPSC queue, applies each
+//! one's records to its privately-owned `QuantileFilter`,
+//! and forwards reports to the sink.
 //!
 //! Single-writer is preserved by construction — the filter lives on the
 //! worker's stack and is moved back out through the join handle at
@@ -15,15 +15,19 @@
 //! A queue slot carries a [`Slab`] — a router-filled chunk of up to
 //! `slab_capacity` items — not a single item. The Lamport handshake, the
 //! park/wake handshake, shed-credit redemption, and (supervised) the
-//! journal lock are each paid **once per slab**; the items inside drain
-//! through [`QuantileFilter::insert_batch`], which is bit-identical to
-//! inserting them one by one. A shed credit redeems a whole slab: the
-//! oldest queued slab is discarded intact, its length counted into
-//! `shed`, and (under `ShedFair`) its keys un-noted from the shared
-//! fairness sketch so partial-slab shed stays exactly accounted per key.
+//! journal lock are each paid **once per slab**. With one or two shards
+//! the router has already hashed every item with the shard's
+//! [`ItemHasher`], so the items drain through
+//! [`QuantileFilter::insert_hashed`], the apply stage alone; with more,
+//! the records come unhashed and the same call hashes them first. Either
+//! way it is bit-identical to inserting them one by one. A shed credit
+//! redeems a whole slab: the oldest queued slab is discarded intact, its
+//! length counted into `shed`, and (under `ShedFair`) its keys un-noted
+//! from the shared fairness sketch so partial-slab shed stays exactly
+//! accounted per key.
 //!
 //! Two loop bodies live here. [`run_worker`] is the unsupervised loop:
-//! one pop, one batch insert, reports inline. [`run_supervised`] adds
+//! one pop, one hashed apply, reports inline. [`run_supervised`] adds
 //! the crash-recovery contract from [`crate::supervisor`]: a slab is
 //! popped, applied, then *committed* — its item buffer moved whole into
 //! the journal under the shard's recovery lock ([`Slab::into_items`], no
@@ -53,16 +57,18 @@ use crate::pipeline::Fairness;
 use crate::ring::Consumer;
 use crate::supervisor::ShardRecovery;
 use crate::telemetry;
-use quantile_filter::{QuantileFilter, Report};
+use quantile_filter::{HashedItem, ItemHasher, QuantileFilter, Report};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 /// A router-filled chunk of routed items, handed to the worker as one
-/// ring slot. Owns its heap buffer; the ring's drop path releases slabs
-/// still queued at teardown.
+/// ring slot. Each item travels as a 24-byte [`HashedItem`] record, with
+/// the coordinates the router's [`ItemHasher`] computed if the router
+/// hashes for this pipeline. Owns its heap buffer;
+/// the ring's drop path releases slabs still queued at teardown.
 #[derive(Debug)]
 pub struct Slab {
-    items: Vec<(u64, f64)>,
+    items: Vec<HashedItem>,
     capacity: usize,
 }
 
@@ -77,17 +83,22 @@ impl Slab {
         }
     }
 
-    /// Append one routed item. Callers check [`Self::is_full`] first;
-    /// the fill level is the router's flush trigger.
+    /// Append one routed item, hashed with `hasher` if there is one
+    /// (else an [`HashedItem::unhashed`] record the worker hashes).
+    /// Callers check [`Self::is_full`] first; the fill level is the
+    /// router's flush trigger.
     #[inline]
-    pub fn push(&mut self, key: u64, value: f64) {
-        self.items.push((key, value));
+    pub fn push(&mut self, hasher: Option<&ItemHasher>, key: u64, value: f64) {
+        self.items.push(match hasher {
+            Some(h) => h.hash(key, value),
+            None => HashedItem::unhashed(key, value),
+        });
     }
 
     /// Remove and return the most recently pushed item (the router's
     /// "un-admit the incoming item" path for drop policies).
     #[inline]
-    pub fn pop(&mut self) -> Option<(u64, f64)> {
+    pub fn pop(&mut self) -> Option<HashedItem> {
         self.items.pop()
     }
 
@@ -111,7 +122,7 @@ impl Slab {
 
     /// The items, in admission order.
     #[inline]
-    pub fn items(&self) -> &[(u64, f64)] {
+    pub fn items(&self) -> &[HashedItem] {
         &self.items
     }
 
@@ -124,7 +135,7 @@ impl Slab {
     /// Give up the item buffer, in admission order, without copying it
     /// (the supervised worker journals applied slabs this way).
     #[inline]
-    pub fn into_items(self) -> Vec<(u64, f64)> {
+    pub fn into_items(self) -> Vec<HashedItem> {
         self.items
     }
 }
@@ -132,7 +143,7 @@ impl Slab {
 /// One message on a shard queue.
 #[derive(Debug)]
 pub enum Msg {
-    /// A slab of routed items, drained through the fused batch path.
+    /// A slab of routed items, applied in admission order.
     Slab(Slab),
     /// Quiesce barrier: snapshot the filter *now* (every earlier slab is
     /// applied, no later one is) and send the bytes to the sink.
@@ -240,18 +251,21 @@ impl Drop for AliveGuard {
 /// were discarded before they ever reached a filter.
 fn unnote_shed(fairness: Option<&Arc<Fairness>>, slab: &Slab) {
     if let Some(f) = fairness {
-        for &(key, _) in slab.items() {
-            f.unnote(key);
+        for item in slab.items() {
+            f.unnote(item.key());
         }
     }
 }
 
 /// The worker body. Runs on a dedicated thread until [`Msg::Shutdown`]
-/// (or until the router closes the queue's producer side).
+/// (or until the router closes the queue's producer side). `hasher` is
+/// the one the router hashes this shard's items with, `None` if it
+/// leaves the hashing to the worker.
 pub(crate) fn run_worker(
     shard: usize,
     queue: Consumer<Msg>,
     mut filter: QuantileFilter,
+    hasher: Option<ItemHasher>,
     sink: Sender<Event>,
     fairness: Option<Arc<Fairness>>,
     flight: ShardFlight,
@@ -277,14 +291,14 @@ pub(crate) fn run_worker(
                 }
                 processed += n;
                 let items = slab.items();
-                filter.insert_batch(items, &mut |i, report| {
+                filter.insert_hashed(hasher.as_ref(), items, &mut |i, report| {
                     telemetry::report();
                     reports += 1;
                     // A closed sink is not the worker's problem: keep
                     // draining so shutdown still conserves accounting.
                     let _ = sink.send(Event::Report {
                         shard,
-                        key: items[i].0,
+                        key: items[i].key(),
                         report,
                     });
                 });
@@ -317,6 +331,7 @@ pub(crate) fn run_supervised(
     let mut shed_total = 0u64;
     let mut reports_total = 0u64;
     let mut staged = ReportBuf::new(sup.slab_capacity);
+    let hasher = sup.recovery.hasher();
     // A `None` pop ends the loop: the producer closed, i.e. this
     // generation was fenced off (or the pipeline is tearing down
     // without a drain).
@@ -357,17 +372,20 @@ pub(crate) fn run_supervised(
                 let items = slab.items();
                 if let Some(chaos) = &sup.chaos {
                     // Chaos-armed runs need the per-item probe between
-                    // inserts; `insert_batch` is bit-identical to this
+                    // inserts; `insert_hashed` is bit-identical to this
                     // loop, so the applied state cannot diverge.
-                    for (i, &(key, value)) in items.iter().enumerate() {
+                    for (i, item) in items.iter().enumerate() {
+                        let key = item.key();
                         chaos.before_apply(shard, base + i as u64, key);
-                        if let Some(report) = filter.insert(&key, value) {
+                        if let Some(report) = filter.insert(&key, item.value()) {
                             staged.buf.push((key, report));
                         }
                     }
                 } else {
                     let buf = &mut staged.buf;
-                    filter.insert_batch(items, &mut |i, report| buf.push((items[i].0, report)));
+                    filter.insert_hashed(hasher.as_ref(), items, &mut |i, report| {
+                        buf.push((items[i].key(), report))
+                    });
                 }
                 let slab_reports = staged.buf.len() as u64;
                 {
